@@ -128,6 +128,8 @@ def _table_rows(c: int, n_max: int) -> list[dict]:
 
 def _cmd_table(args) -> int:
     c = TABLE_CASES[args.case]
+    if args.n_max < 0:
+        raise ValueError(f"--n-max must be >= 0, got {args.n_max}")
     rows = _table_rows(c, args.n_max)
 
     def fmt(v) -> str:

@@ -199,7 +199,10 @@ class _Parser:
             den = 1
             if (t := self.peek()) and t.kind == "/":
                 self.next()
-                den = int(self.expect("INT").text)
+                den_tok = self.expect("INT")
+                den = int(den_tok.text)
+                if den == 0:
+                    raise ParseError("zero denominator in exponent", den_tok.pos)
             self.expect(")")
             return Fraction(sign * num, den)
         pos = tok.pos if tok else self.length

@@ -7,18 +7,19 @@ structural equality.
 
 from fractions import Fraction
 
-RationalLike = Fraction | int | str
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``p`` or ``p/q`` into a Fraction.
 
-    Raises ValueError on anything else (floats are deliberately rejected:
-    this package never touches binary floating point).
+    Raises ValueError on anything else, including a zero denominator
+    (floats are deliberately rejected: this package never touches binary
+    floating point).
     """
     text = text.strip()
     if "/" in text:
         num, _, den = text.partition("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
 

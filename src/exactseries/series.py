@@ -93,17 +93,16 @@ def coefficient(a: PowerSeries, n: int) -> Fraction:
 def binomial_series(m: Fraction | int, order: int, at_minus_z: bool = False) -> PowerSeries:
     """Expansion of (1+z)^m to the given order; coefficient k is C(m, k).
 
-    With ``at_minus_z`` the variable is negated, giving (1-z)^m.
+    With ``at_minus_z`` the variable is negated, giving (1-z)^m.  The row is
+    built with the ratio recurrence C(m, k) = C(m, k-1) * (m-k+1)/k.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     m = Fraction(m)
-    out = []
-    for k in range(order + 1):
-        c = binom(m, k)
-        if at_minus_z and k % 2 == 1:
-            c = -c
-        out.append(c)
+    sign = -1 if at_minus_z else 1
+    out = [Fraction(1)]
+    for k in range(1, order + 1):
+        out.append(out[-1] * (sign * (m - k + 1)) / k)
     return PowerSeries(tuple(out))
 
 
@@ -139,15 +138,8 @@ class SeriesDomainError(ValueError):
 
 
 def ps_inverse(a: PowerSeries) -> PowerSeries:
-    """Multiplicative inverse; needs a nonzero constant term."""
-    if a.coeffs[0] == 0:
-        raise SeriesDomainError("cannot invert a series with zero constant term")
-    inv0 = 1 / a.coeffs[0]
-    out = [inv0]
-    for k in range(1, a.order + 1):
-        acc = sum((a.coeffs[i] * out[k - i] for i in range(1, k + 1)), Fraction(0))
-        out.append(-inv0 * acc)
-    return PowerSeries(tuple(out))
+    """Multiplicative inverse, ps_pow(a, -1); needs a nonzero constant term."""
+    return ps_pow(a, -1)
 
 
 def ps_div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
@@ -171,30 +163,30 @@ def ps_div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
 
 
 def _int_nth_root(value: int, d: int) -> int | None:
-    """Exact d-th root of a (possibly negative) integer, or None."""
-    if value < 0:
-        if d % 2 == 0:
-            return None
-        r = _int_nth_root(-value, d)
-        return None if r is None else -r
-    if value in (0, 1):
-        return value
-    r = round(value ** (1.0 / d))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**d == value:
-            return cand
-    return None
+    """Exact d-th root (d >= 1) of a nonzero integer, or None."""
+    x = abs(value)
+    # Integer Newton iteration from above converges to floor(x^(1/d)).
+    r = 1 << -(-x.bit_length() // d)
+    while (nxt := ((d - 1) * r + x // r ** (d - 1)) // d) < r:
+        r = nxt
+    r = -r if value < 0 else r
+    return r if r**d == value else None
+
+
+# Largest power fraction_pow computes, in bits (about 19 700 digits): CPython's
+# gcd is quadratic, so Fraction arithmetic on much larger values would hang.
+MAX_POWER_BITS = 1 << 16
 
 
 def fraction_pow(base: Fraction, exponent: Fraction) -> Fraction:
-    """base**exponent when the result is rational; otherwise an error."""
-    if exponent.denominator == 1:
-        e = exponent.numerator
-        if base == 0 and e < 0:
-            raise SeriesDomainError("zero raised to a negative power")
-        return base**e
-    if base == 0:
-        return Fraction(0)
+    """base**exponent for a nonzero base when the result is rational;
+    otherwise an error.  A result above about MAX_POWER_BITS bits is an
+    error too, raised before any of it is computed."""
+    height = max(abs(base.numerator), base.denominator)
+    bits = abs(exponent) * (height.bit_length() - 1)
+    if bits > MAX_POWER_BITS:
+        raise SeriesDomainError(f"{base}^{exponent} has about {int(bits)} bits, "
+                                f"over the limit of {MAX_POWER_BITS}")
     num = _int_nth_root(base.numerator, exponent.denominator)
     den = _int_nth_root(base.denominator, exponent.denominator)
     if num is None or den is None:
@@ -207,37 +199,37 @@ def fraction_pow(base: Fraction, exponent: Fraction) -> Fraction:
 def ps_pow(a: PowerSeries, exponent: Fraction | int) -> PowerSeries:
     """Raise a series to a rational power.
 
-    For negative or fractional exponents the base is normalized as
-    z^s * u with u(0) != 0; the result z^(s*e) * u^e must again have only
-    nonnegative integer powers of z, and u(0)^e must be rational.
+    The base is normalized as z^s * u with u(0) != 0; the result
+    z^(s*e) * u^e must again have only nonnegative integer powers of z, and
+    u(0)^e must be rational.  The coefficients b of u^e follow J. C. P.
+    Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7); with e + 1 = p/q,
+
+        q * k * u0 * b_k = sum_{j=1..k} (p*j - q*k) * u_j * b_{k-j},
+
+    so the weights are integers and the cost is O(order^2) whatever the
+    exponent.
     """
     e = Fraction(exponent)
-    if e.denominator == 1 and e >= 0:
-        out = constant(1, a.order)
-        for _ in range(int(e)):
-            out = ps_mul(out, a)
-        return out
+    if e == 0:
+        return constant(1, a.order)
     s = valuation(a)
     if s is None:
+        if e.denominator == 1 and e > 0:
+            return constant(0, a.order)
         raise SeriesDomainError("zero series cannot be raised to this power")
     shift = e * s
     if shift.denominator != 1 or shift < 0:
         raise SeriesDomainError(
             f"power produces z^({shift}), not a nonnegative integer power"
         )
-    u = PowerSeries(a.coeffs[s:])
-    lead = fraction_pow(u.coeffs[0], e)
-    # u^e = lead * sum_k C(e, k) w^k with w = u/u0 - 1 (valuation >= 1)
-    w = PowerSeries(tuple(
-        (c / u.coeffs[0] if k > 0 else Fraction(0)) for k, c in enumerate(u.coeffs)
-    ))
-    acc = constant(lead, u.order)
-    wpow = constant(1, u.order)
-    for k in range(1, u.order + 1):
-        wpow = ps_mul(wpow, w)
-        term = PowerSeries(tuple(lead * binom(e, k) * c for c in wpow.coeffs))
-        acc = ps_add(acc, term)
-    result = ps_monomial_shift(
-        PowerSeries(acc.coeffs + (Fraction(0),) * int(shift)), int(shift)
-    )
-    return PowerSeries(result.coeffs[: min(a.order, acc.order + int(shift)) + 1])
+    shift = int(shift)
+    u = a.coeffs[s:]
+    order = min(a.order, len(u) - 1 + shift)
+    p, q = (e + 1).as_integer_ratio()
+    b = [fraction_pow(u[0], e)]
+    for k in range(1, order - shift + 1):
+        acc = sum(((p * j - q * k) * u[j] * b[k - j]
+                   for j in range(1, k + 1) if u[j]), Fraction(0))
+        b.append(acc / (q * k * u[0]))
+    zeros = (Fraction(0),) * min(shift, order + 1)
+    return PowerSeries((zeros + tuple(b))[: order + 1])

@@ -92,6 +92,22 @@ class TestCoeff:
     def test_order_below_n_rejected(self):
         assert run(["coeff", "z", "--n", "5", "--order", "3"]) == 2
 
+    def test_zero_exponent_denominator_exits_2(self, capsys):
+        assert run(["coeff", "z^(1/0)", "--n", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "offset 5" in err
+        assert err.count("\n") == 1
+
+    def test_power_over_bit_limit_exits_2(self, capsys):
+        assert run(["coeff", "3^99999999999", "--n", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "over the limit" in err
+        assert err.count("\n") == 1
+
+    def test_huge_integer_power(self, capsys):
+        assert run(["coeff", "(1-z)^1000000", "--n", "2"]) == 0
+        assert capsys.readouterr().out == "499999500000\n"
+
 
 class TestVerifyCommand:
     def test_vandermonde_all_true(self, capsys):
@@ -130,6 +146,12 @@ class TestVerifyCommand:
         assert run(["verify", "log-dual", "--m", "1",
                     "--n", "0..3", "--c", "0"]) == 2
 
+    def test_zero_denominator_m_exits_2(self, capsys):
+        assert run(["verify", "vandermonde", "--m", "1/0",
+                    "--n", "0", "--c", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_usage_error_exits_2(self, capsys):
         assert run(["verify", "nonsense", "--n", "0", "--c", "0"]) == 2
         capsys.readouterr()
@@ -152,6 +174,12 @@ class TestTableCommand:
                     "--csv"]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "n,lhs,rhs,closed"
+
+    def test_negative_n_max_exits_2(self, capsys):
+        assert run(["table", "euler", "--case", "c0", "--n-max", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
     def test_unknown_case_exits_2(self, capsys):
         assert run(["table", "euler", "--case", "c9", "--n-max", "2"]) == 2

@@ -3,12 +3,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from exactseries.binomial import binom
 from exactseries.series import (
+    MAX_POWER_BITS,
     PowerSeries,
     SeriesDomainError,
     binomial_series,
     coefficient,
     constant,
+    fraction_pow,
     lemma_coefficient,
     log_geometric,
     ps_add,
@@ -18,6 +21,7 @@ from exactseries.series import (
     ps_mul,
     ps_pow,
     series,
+    valuation,
 )
 
 
@@ -182,6 +186,20 @@ def test_binomial_series_multiplicative(a, b):
     assert lhs == binomial_series(a + b, n)
 
 
+@given(m=small_rationals, at_minus_z=st.booleans())
+def test_binomial_series_matches_binom(m, at_minus_z):
+    sign = -1 if at_minus_z else 1
+    expected = tuple(binom(m, k) * sign**k for k in range(13))
+    assert binomial_series(m, 12, at_minus_z).coeffs == expected
+
+
+@pytest.mark.parametrize("m", [0.5, "1/2", Fraction(1, 2)])
+def test_binomial_series_normalises_m_to_fraction(m):
+    coeffs = binomial_series(m, 4).coeffs
+    assert all(type(c) is Fraction for c in coeffs)
+    assert coeffs == binomial_series(Fraction(1, 2), 4).coeffs
+
+
 class TestDivisionAndPowers:
     def test_inverse_of_one_minus_z(self):
         assert ps_inverse(series([1, -1] + [0] * 8)) == geometric(9)
@@ -214,3 +232,145 @@ class TestDivisionAndPowers:
     def test_pow_irrational_rejected(self):
         with pytest.raises(SeriesDomainError):
             ps_pow(constant(2, 3), Fraction(1, 2))
+
+
+class TestFractionPow:
+    @pytest.mark.parametrize("root", [10**20 + 7, 10**60 + 7])
+    def test_exact_square_of_large_integer(self, root):
+        assert fraction_pow(Fraction(root**2), Fraction(1, 2)) == root
+
+    def test_exact_cube_of_large_integer(self):
+        root = 10**60 + 7
+        assert fraction_pow(Fraction(root**3), Fraction(2, 3)) == root**2
+
+    def test_negative_odd_root(self):
+        root = -(10**20 + 7)
+        assert fraction_pow(Fraction(root**5, 7**5), Fraction(1, 5)) == Fraction(root, 7)
+
+    def test_near_square_is_not_rational(self):
+        with pytest.raises(SeriesDomainError):
+            fraction_pow(Fraction((10**20 + 7) ** 2 + 1), Fraction(1, 2))
+
+    def test_power_above_bit_limit_is_refused_before_computing(self):
+        with pytest.raises(SeriesDomainError, match="over the limit"):
+            fraction_pow(Fraction(3), Fraction(99999999999))
+        with pytest.raises(SeriesDomainError, match="over the limit"):
+            fraction_pow(Fraction(1, 2), Fraction(MAX_POWER_BITS + 1))
+
+    def test_power_at_bit_limit_and_powers_of_one(self):
+        assert fraction_pow(Fraction(2), Fraction(MAX_POWER_BITS)) == 2**MAX_POWER_BITS
+        assert fraction_pow(Fraction(-1), Fraction(10**12 + 1)) == -1
+
+    def test_negative_even_root_is_not_rational(self):
+        with pytest.raises(SeriesDomainError):
+            fraction_pow(Fraction(-4), Fraction(1, 2))
+
+
+# ------------------------------------------------- reference power algorithms
+# The repeated-multiplication / binomial-composition ps_pow and the direct
+# ps_inverse that the Miller recurrence replaced.  They are O(e*n^2) and
+# O(n^3), so they run only at small orders, as oracles for the new kernel.
+
+def reference_ps_inverse(a: PowerSeries) -> PowerSeries:
+    if a.coeffs[0] == 0:
+        raise SeriesDomainError("cannot invert a series with zero constant term")
+    inv0 = 1 / a.coeffs[0]
+    out = [inv0]
+    for k in range(1, a.order + 1):
+        acc = sum((a.coeffs[i] * out[k - i] for i in range(1, k + 1)), Fraction(0))
+        out.append(-inv0 * acc)
+    return PowerSeries(tuple(out))
+
+
+def reference_ps_pow(a: PowerSeries, exponent) -> PowerSeries:
+    e = Fraction(exponent)
+    if e.denominator == 1 and e >= 0:
+        out = constant(1, a.order)
+        for _ in range(int(e)):
+            out = ps_mul(out, a)
+        return out
+    s = valuation(a)
+    if s is None:
+        raise SeriesDomainError("zero series cannot be raised to this power")
+    shift = e * s
+    if shift.denominator != 1 or shift < 0:
+        raise SeriesDomainError(
+            f"power produces z^({shift}), not a nonnegative integer power"
+        )
+    u = PowerSeries(a.coeffs[s:])
+    lead = fraction_pow(u.coeffs[0], e)
+    # u^e = lead * sum_k C(e, k) w^k with w = u/u0 - 1 (valuation >= 1)
+    w = PowerSeries(tuple(
+        (c / u.coeffs[0] if k > 0 else Fraction(0)) for k, c in enumerate(u.coeffs)
+    ))
+    acc = constant(lead, u.order)
+    wpow = constant(1, u.order)
+    for k in range(1, u.order + 1):
+        wpow = ps_mul(wpow, w)
+        term = PowerSeries(tuple(lead * binom(e, k) * c for c in wpow.coeffs))
+        acc = ps_add(acc, term)
+    result = ps_monomial_shift(
+        PowerSeries(acc.coeffs + (Fraction(0),) * int(shift)), int(shift)
+    )
+    return PowerSeries(result.coeffs[: min(a.order, acc.order + int(shift)) + 1])
+
+
+def outcome(f, *args):
+    """The value of f(*args), or the type of the exception it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+nonzero_rationals = small_rationals.filter(lambda x: x != 0)
+
+
+@st.composite
+def power_cases(draw, max_order=12):
+    """(base, exponent) with valuation 0..8 and a leading coefficient that is
+    usually an exact q-th power, so fractional exponents mostly succeed."""
+    q = draw(st.integers(1, 4))
+    e = Fraction(draw(st.integers(-6, 6)), q)
+    lead = draw(nonzero_rationals)
+    if draw(st.integers(0, 3)):
+        lead = lead**q
+    s = draw(st.sampled_from([0, 0, 0, 1, 2, 3, q, 2 * q]))
+    tail = draw(st.lists(small_rationals, max_size=max_order))
+    coeffs = ([0] * s + [lead] + tail)[: max_order + 1]
+    return series(coeffs), e
+
+
+zero_series = st.integers(0, 12).map(lambda order: constant(0, order))
+any_exponent = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@given(case=power_cases())
+@settings(max_examples=300)
+def test_pow_matches_reference(case):
+    a, e = case
+    assert outcome(ps_pow, a, e) == outcome(reference_ps_pow, a, e)
+
+
+@given(a=zero_series, e=any_exponent)
+def test_pow_of_zero_series_matches_reference(a, e):
+    assert outcome(ps_pow, a, e) == outcome(reference_ps_pow, a, e)
+
+
+@given(case=power_cases(max_order=6), e=st.integers(20, 150))
+@settings(max_examples=25, deadline=None)
+def test_pow_large_integer_exponent_matches_reference(case, e):
+    a, _ = case
+    assert outcome(ps_pow, a, e) == outcome(reference_ps_pow, a, e)
+
+
+@given(a=st.lists(small_rationals, min_size=1, max_size=13).map(series))
+def test_inverse_matches_reference(a):
+    assert outcome(ps_inverse, a) == outcome(reference_ps_inverse, a)
+
+
+def test_pow_irrational_lead_raises_like_reference():
+    a = series([0, 0, 2, 1, 3])
+    for e in (Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)):
+        assert outcome(ps_pow, a, e) is SeriesDomainError
+        assert outcome(reference_ps_pow, a, e) is SeriesDomainError
