@@ -203,6 +203,9 @@ def run(argv: list[str]) -> int:
     except (LexError, ParseError, EvalError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: expression nested too deeply", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

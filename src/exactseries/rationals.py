@@ -5,6 +5,7 @@ guarantees the canonical form we need: positive denominator, gcd-reduced,
 structural equality.
 """
 
+from decimal import Decimal
 from fractions import Fraction
 
 
@@ -25,7 +26,12 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Canonical ``p/q`` text; denominator 1 prints as a bare integer."""
+    """Canonical ``p/q`` text; denominator 1 prints as a bare integer.
+
+    Digits go through ``Decimal``, which is exact for integers and not
+    subject to CPython's int-to-str digit limit, so values of any size print.
+    """
+    num = str(Decimal(value.numerator))
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return num
+    return f"{num}/{Decimal(value.denominator)}"

@@ -8,6 +8,7 @@ coefficient beyond the order is an error rather than a silent 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -63,13 +64,40 @@ def ps_sub(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     return PowerSeries(tuple(a.coeffs[k] - b.coeffs[k] for k in range(n + 1)))
 
 
+def _integer_numerators(cs: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """Rationals cs as integer numerators over one denominator, their lcm."""
+    d = math.lcm(*(c.denominator for c in cs))
+    return [c.numerator * (d // c.denominator) for c in cs], d
+
+
 def ps_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    """Cauchy product truncated at the smaller order."""
+    """Cauchy product truncated at the smaller order.
+
+    Kronecker substitution (D. Harvey, J. Symbolic Comput. 44, 2009): each
+    operand becomes integer numerators over one denominator, packed into one
+    integer at ``bits`` bits per coefficient, so a single big-integer
+    multiplication yields every coefficient of the product in its own slot.
+    """
     n = min(a.order, b.order)
+    xs, dx = _integer_numerators(a.coeffs[: n + 1])
+    ys, dy = _integer_numerators(b.coeffs[: n + 1])
+    # Every product slot is a sum of at most n + 1 terms x_i * y_j, so it
+    # fits in bits - 1 bits plus a sign.
+    bits = (max(map(abs, xs)) * max(map(abs, ys)) * (n + 1)).bit_length() + 1
+    px = py = 0
+    for x, y in zip(reversed(xs), reversed(ys)):
+        px = (px << bits) + x
+        py = (py << bits) + y
+    # The low n + 1 slots depend only on the product modulo 2^(bits*(n+1)).
+    prod = (px * py) & ((1 << bits * (n + 1)) - 1)
+    mask, half, d = (1 << bits) - 1, 1 << (bits - 1), dx * dy
     out = []
-    for k in range(n + 1):
-        out.append(sum((a.coeffs[i] * b.coeffs[k - i] for i in range(k + 1)),
-                       Fraction(0)))
+    for _ in range(n + 1):
+        slot = prod & mask
+        if slot >= half:
+            slot -= 1 << bits
+        prod = (prod - slot) >> bits
+        out.append(Fraction(slot, d))
     return PowerSeries(tuple(out))
 
 

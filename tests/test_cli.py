@@ -42,6 +42,16 @@ REPORT_SCHEMA = {
 }
 
 
+def decimal_digits(n: int) -> str:
+    """Decimal digits of n >= 0, converted 1000 at a time so that CPython's
+    int-to-str digit limit never applies."""
+    chunks = []
+    while n >= 10**1000:
+        n, low = divmod(n, 10**1000)
+        chunks.append(f"{low:01000d}")
+    return str(n) + "".join(reversed(chunks))
+
+
 class TestParseGrid:
     def test_single_value(self):
         assert parse_grid("7") == [Fraction(7)]
@@ -107,6 +117,25 @@ class TestCoeff:
     def test_huge_integer_power(self, capsys):
         assert run(["coeff", "(1-z)^1000000", "--n", "2"]) == 0
         assert capsys.readouterr().out == "499999500000\n"
+
+    @pytest.mark.parametrize("expr", [
+        "(" * 2000 + "z" + ")" * 2000,  # recursion in the parser
+        "+".join(["z"] * 3000),  # recursion over a left-deep sum in evaluate
+    ])
+    def test_deep_expression_exits_2(self, expr, capsys):
+        assert run(["coeff", expr, "--n", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_value_over_str_digit_limit_prints(self, capsys):
+        digits = decimal_digits(2**20000)
+        assert len(digits) > 4300
+        assert run(["coeff", "2^20000", "--n", "0"]) == 0
+        assert capsys.readouterr().out == digits + "\n"
+        assert run(["coeff", "2^20000", "--n", "0", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["coefficient"] == digits
+        assert run(["coeff", "2^(-20000)", "--n", "0"]) == 0
+        assert capsys.readouterr().out == f"1/{digits}\n"
 
 
 class TestVerifyCommand:

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from exactseries.binomial import binom
 from exactseries.series import (
@@ -266,6 +266,45 @@ class TestFractionPow:
             fraction_pow(Fraction(-4), Fraction(1, 2))
 
 
+# ------------------------------------------------ reference product algorithm
+# The schoolbook Cauchy product that the integer (Kronecker) kernel replaced:
+# O(n^2) Fraction products, an oracle that shares no code with ps_mul.
+
+def reference_ps_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
+    n = min(a.order, b.order)
+    out = []
+    for k in range(n + 1):
+        out.append(sum((a.coeffs[i] * b.coeffs[k - i] for i in range(k + 1)),
+                       Fraction(0)))
+    return PowerSeries(tuple(out))
+
+
+# Mixed-sign rationals; denominators up to 10^9, whose lcm is large; the zero
+# series; and constant series +-M, whose top product slot is exactly the
+# signed bound the kernel sizes its slots for.  Orders 0..20, independently.
+mul_operands = st.one_of(
+    st.lists(
+        st.one_of(small_rationals,
+                  st.builds(Fraction, st.integers(-10**9, 10**9),
+                            st.integers(1, 10**9))),
+        min_size=1, max_size=21,
+    ).map(series),
+    st.integers(0, 20).map(lambda order: constant(0, order)),
+    st.builds(lambda m, order: series([m] * (order + 1)),
+              st.integers(-2**80, 2**80), st.integers(0, 20)),
+)
+
+
+@given(a=mul_operands, b=mul_operands)
+@example(a=series([7] * 6), b=series([5] * 4))
+@example(a=series([-7] * 3), b=series([5] * 3))
+@settings(max_examples=300)
+def test_mul_matches_reference(a, b):
+    out = ps_mul(a, b)
+    assert out == reference_ps_mul(a, b)
+    assert all(type(c) is Fraction for c in out.coeffs)
+
+
 # ------------------------------------------------- reference power algorithms
 # The repeated-multiplication / binomial-composition ps_pow and the direct
 # ps_inverse that the Miller recurrence replaced.  They are O(e*n^2) and
@@ -287,7 +326,7 @@ def reference_ps_pow(a: PowerSeries, exponent) -> PowerSeries:
     if e.denominator == 1 and e >= 0:
         out = constant(1, a.order)
         for _ in range(int(e)):
-            out = ps_mul(out, a)
+            out = reference_ps_mul(out, a)
         return out
     s = valuation(a)
     if s is None:
@@ -306,7 +345,7 @@ def reference_ps_pow(a: PowerSeries, exponent) -> PowerSeries:
     acc = constant(lead, u.order)
     wpow = constant(1, u.order)
     for k in range(1, u.order + 1):
-        wpow = ps_mul(wpow, w)
+        wpow = reference_ps_mul(wpow, w)
         term = PowerSeries(tuple(lead * binom(e, k) * c for c in wpow.coeffs))
         acc = ps_add(acc, term)
     result = ps_monomial_shift(
