@@ -61,7 +61,12 @@ def _cmd_coeff(args) -> int:
     order = args.order if args.order is not None else args.n + DEFAULT_ORDER_MARGIN
     if order < args.n:
         raise ValueError(f"--order {order} is below --n {args.n}")
-    value = coefficient(evaluate(expr, order), args.n)
+    result = evaluate(expr, order)
+    if args.order is None and result.order < args.n:
+        # Each division by z^v loses v orders, the same v at any order above
+        # v, so one more evaluation with the shortfall added is enough.
+        result = evaluate(expr, order + args.n - result.order)
+    value = coefficient(result, args.n)
     if args.json:
         print(json.dumps({
             "expr": args.expr,
@@ -205,6 +210,10 @@ def run(argv: list[str]) -> int:
         return 2
     except RecursionError:
         print("error: expression nested too deeply", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # A bug, but exit 1 is reserved for a false verdict.
+        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

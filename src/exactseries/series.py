@@ -235,7 +235,10 @@ def ps_pow(a: PowerSeries, exponent: Fraction | int) -> PowerSeries:
         q * k * u0 * b_k = sum_{j=1..k} (p*j - q*k) * u_j * b_{k-j},
 
     so the weights are integers and the cost is O(order^2) whatever the
-    exponent.
+    exponent.  The sum runs on integers: u becomes integer numerators ``us``
+    (the recurrence is homogeneous in u, so u's denominator cancels), and
+    c = (u/u0)^e is kept as integer numerators ``cs`` over one running
+    denominator ``lcd``, so step k is one integer sum and one gcd.
     """
     e = Fraction(exponent)
     if e == 0:
@@ -254,10 +257,28 @@ def ps_pow(a: PowerSeries, exponent: Fraction | int) -> PowerSeries:
     u = a.coeffs[s:]
     order = min(a.order, len(u) - 1 + shift)
     p, q = (e + 1).as_integer_ratio()
-    b = [fraction_pow(u[0], e)]
+    b0 = fraction_pow(u[0], e)
+    b = [b0]
+    us, _ = _integer_numerators(u)
+    terms = [(j, uj) for j, uj in enumerate(us) if j and uj]
+    # Step k reads cs[k - j] only for 1 <= j <= reach, so when lcd grows only
+    # the last ``reach`` entries of cs still need rescaling.
+    reach = terms[-1][0] if terms else 0
+    cs, lcd = [1], 1
     for k in range(1, order - shift + 1):
-        acc = sum(((p * j - q * k) * u[j] * b[k - j]
-                   for j in range(1, k + 1) if u[j]), Fraction(0))
-        b.append(acc / (q * k * u[0]))
+        qk = q * k
+        acc = sum((p * j - qk) * uj * cs[k - j] for j, uj in terms if j <= k)
+        den = lcd * qk * us[0]
+        g = math.gcd(acc, den)
+        num, den = acc // g, den // g
+        if den < 0:
+            num, den = -num, -den
+        b.append(Fraction(b0.numerator * num, b0.denominator * den))
+        if lcd % den:
+            scale = den // math.gcd(lcd, den)
+            lcd *= scale
+            lo = max(0, k + 1 - reach)
+            cs[lo:] = [x * scale for x in cs[lo:]]
+        cs.append(num * (lcd // den))
     zeros = (Fraction(0),) * min(shift, order + 1)
     return PowerSeries((zeros + tuple(b))[: order + 1])

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from exactseries import cli
 from exactseries.cli import parse_grid, run
 from fractions import Fraction
 
@@ -113,6 +115,28 @@ class TestCoeff:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "over the limit" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("expr", ["z^10/z^10", "z^12/z^6/z^6"])
+    def test_division_by_z_power_retries_once(self, expr, capsys):
+        # At the default order n + 8 the divisions leave fewer than n + 1
+        # coefficients; the missing orders are asked for once more.
+        assert run(["coeff", expr, "--n", "5"]) == 0
+        assert capsys.readouterr().out == "0\n"
+
+    def test_division_by_z_power_keeps_explicit_order(self, capsys):
+        assert run(["coeff", "z^10/z^10", "--n", "5", "--order", "13"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: coefficient 5 outside truncation range 0..3\n"
+
+    def test_unexpected_exception_exits_2(self, monkeypatch, capsys):
+        def broken(args):
+            raise TypeError("unsupported operand")
+        monkeypatch.setattr(cli, "_cmd_coeff", broken)
+        assert run(["coeff", "z", "--n", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "TypeError" in err
 
     def test_huge_integer_power(self, capsys):
         assert run(["coeff", "(1-z)^1000000", "--n", "2"]) == 0
@@ -224,10 +248,14 @@ def test_golden_tables(case, capsys):
 
 
 def test_console_entry_point_runs():
+    # The child imports the checkout's package, installed or not.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "exactseries.cli", "coeff",
          "z^2/(1-z)^4", "--n", "5"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == "20\n"

@@ -413,3 +413,121 @@ def test_pow_irrational_lead_raises_like_reference():
     for e in (Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)):
         assert outcome(ps_pow, a, e) is SeriesDomainError
         assert outcome(reference_ps_pow, a, e) is SeriesDomainError
+
+
+# ---------------------------------------------- reference Miller power loop
+# The Fraction Miller loop that the integer inner sum in ps_pow replaced: the
+# same recurrence, summed one Fraction product at a time.  It shares no
+# arithmetic with the kernel it judges.
+
+def reference_miller_pow(a: PowerSeries, exponent) -> PowerSeries:
+    e = Fraction(exponent)
+    if e == 0:
+        return constant(1, a.order)
+    s = valuation(a)
+    if s is None:
+        if e.denominator == 1 and e > 0:
+            return constant(0, a.order)
+        raise SeriesDomainError("zero series cannot be raised to this power")
+    shift = e * s
+    if shift.denominator != 1 or shift < 0:
+        raise SeriesDomainError(
+            f"power produces z^({shift}), not a nonnegative integer power"
+        )
+    shift = int(shift)
+    u = a.coeffs[s:]
+    order = min(a.order, len(u) - 1 + shift)
+    p, q = (e + 1).as_integer_ratio()
+    b = [fraction_pow(u[0], e)]
+    for k in range(1, order - shift + 1):
+        acc = sum(((p * j - q * k) * u[j] * b[k - j]
+                   for j in range(1, k + 1) if u[j]), Fraction(0))
+        b.append(acc / (q * k * u[0]))
+    zeros = (Fraction(0),) * min(shift, order + 1)
+    return PowerSeries((zeros + tuple(b))[: order + 1])
+
+
+def assert_pow_matches_miller(a, e):
+    out = outcome(ps_pow, a, e)
+    assert out == outcome(reference_miller_pow, a, e)
+    if isinstance(out, PowerSeries):
+        assert all(type(c) is Fraction for c in out.coeffs)
+
+
+# Numerators and denominators up to 10^6, so that the running denominator of
+# the kernel grows at many steps.
+wide_rationals = st.builds(Fraction, st.integers(-10**6, 10**6),
+                           st.integers(1, 10**6))
+
+
+@st.composite
+def miller_cases(draw, coeffs, denominators=(1, 2, 3, 4), negative_lead=False):
+    """(base, exponent) at orders 0..40 with a lead that is an exact q-th
+    power, so that u0^e is rational; with ``negative_lead`` it is negative
+    and odd roots keep it so."""
+    q = draw(st.sampled_from(denominators))
+    e = Fraction(draw(st.integers(-6, 6)), q)
+    root = draw(coeffs.filter(lambda x: x != 0))
+    lead = -abs(root) ** q if negative_lead else root**q
+    order = draw(st.integers(0, 40))
+    tail = draw(st.lists(coeffs, min_size=order, max_size=order))
+    return series([lead] + tail), e
+
+
+@given(case=miller_cases(wide_rationals))
+@settings(max_examples=80, deadline=None)
+def test_pow_dense_wide_denominators_matches_miller(case):
+    assert_pow_matches_miller(*case)
+
+
+@given(case=miller_cases(small_rationals, denominators=(1, 3, 5),
+                         negative_lead=True))
+@example(case=(series([Fraction(-8, 27), 1, -2, Fraction(1, 3)] + [5] * 20),
+               Fraction(1, 3)))
+@example(case=(series([-2, 3, 0, -1, Fraction(7, 2)] * 8), Fraction(-5, 3)))
+@settings(max_examples=80, deadline=None)
+def test_pow_negative_lead_matches_miller(case):
+    assert_pow_matches_miller(*case)
+
+
+@given(lead=nonzero_rationals, e=any_exponent,
+       far=st.dictionaries(st.integers(1, 40), nonzero_rationals,
+                           min_size=1, max_size=3),
+       order=st.integers(0, 40))
+@settings(max_examples=80, deadline=None)
+def test_pow_sparse_far_reach_matches_miller(lead, e, far, order):
+    """u has a few nonzero coefficients, the last one up to 40 places out, so
+    the kernel keeps a wide rescale window while most terms are zero."""
+    lead = lead**e.denominator
+    a = series([lead] + [far.get(j, 0) for j in range(1, order + 1)])
+    assert_pow_matches_miller(a, e)
+
+
+@given(s=st.integers(1, 5), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_pow_shift_beyond_order_matches_miller(s, data):
+    """z^s * u to a power e with e*s above the order: every coefficient is
+    zero and the Miller loop runs no step."""
+    shift = data.draw(st.integers(s + 1, 4 * s))
+    order = data.draw(st.integers(s, shift - 1))
+    lead = data.draw(nonzero_rationals) ** s
+    tail = data.draw(st.lists(small_rationals, min_size=order - s,
+                              max_size=order - s))
+    a = series([0] * s + [lead] + tail)
+    e = Fraction(shift, s)
+    assert valuation(a) == s and e * s > a.order
+    assert_pow_matches_miller(a, e)
+    assert ps_pow(a, e).coeffs == (0,) * (order + 1)
+
+
+@given(case=miller_cases(wide_rationals, denominators=(1,)))
+@settings(max_examples=80, deadline=None)
+def test_inverse_matches_miller(case):
+    a, _ = case
+    expected = outcome(reference_miller_pow, a, -1)
+    assert outcome(ps_pow, a, -1) == expected
+    assert outcome(ps_inverse, a) == expected
+
+
+def test_pow_of_z_squared_beyond_order():
+    assert ps_pow(series([0, 1]), 2).coeffs == (0, 0)
