@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import identities
 from .lang import EvalError, LexError, ParseError, evaluate, parse_text
 from .rationals import format_rational, parse_rational
-from .series import coefficient
+from .series import PowerSeries, ZeroToOrderError, coefficient
 
 TABLE_CASES = {
     "c0": 0,
@@ -27,7 +27,10 @@ TABLE_CASES = {
     "cm4": -4,
 }
 
-DEFAULT_ORDER_MARGIN = 8
+# Retries of coeff evaluate at most this many orders above n.  This bounds
+# the work spent on a divisor that cancels to every order, such as
+# (1+z)-1-z, while leaving room for divisions by z^v with v far above n.
+MAX_EXTRA_ORDERS = 64
 
 
 def parse_grid(text: str) -> list[Fraction]:
@@ -56,16 +59,37 @@ def _int_grid(values: list[Fraction], flag: str) -> list[int]:
     return out
 
 
+def _evaluate_to(expr, n: int) -> PowerSeries:
+    """Evaluate expr at order n, and again at higher orders while that
+    falls short of z^n, up to order n + MAX_EXTRA_ORDERS.
+
+    Each division by z^v loses v orders, the same v at any order above v,
+    so a short result is evaluated again with the shortfall added.  An
+    operand that is zero to its order may have its leading term above it,
+    so that error doubles the order.  Every other error is final.
+    """
+    order, cap = n, n + MAX_EXTRA_ORDERS
+    while True:
+        try:
+            result = evaluate(expr, order)
+        except EvalError as exc:
+            if order == cap or not isinstance(exc.__cause__, ZeroToOrderError):
+                raise
+            order = min(cap, 2 * order + 1)
+            continue
+        if result.order >= n or order == cap:
+            return result
+        order = min(cap, order + n - result.order)
+
+
 def _cmd_coeff(args) -> int:
     expr = parse_text(args.expr)
-    order = args.order if args.order is not None else args.n + DEFAULT_ORDER_MARGIN
-    if order < args.n:
-        raise ValueError(f"--order {order} is below --n {args.n}")
-    result = evaluate(expr, order)
-    if args.order is None and result.order < args.n:
-        # Each division by z^v loses v orders, the same v at any order above
-        # v, so one more evaluation with the shortfall added is enough.
-        result = evaluate(expr, order + args.n - result.order)
+    if args.order is None:
+        result = _evaluate_to(expr, args.n)
+    elif args.order < args.n:
+        raise ValueError(f"--order {args.order} is below --n {args.n}")
+    else:
+        result = evaluate(expr, args.order)
     value = coefficient(result, args.n)
     if args.json:
         print(json.dumps({
@@ -121,44 +145,28 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.verdict for r in reports) else 1
 
 
-def _table_rows(c: int, n_max: int) -> list[dict]:
-    rows = []
-    for n in range(0, n_max + 1):
-        lhs = identities.log_lhs(n, c)
-        rhs = identities.log_rhs(n, c)
-        closed = identities.log_closed(n, c) if c <= 0 else None
-        rows.append({"n": n, "lhs": lhs, "rhs": rhs, "closed": closed})
-    return rows
-
-
 def _cmd_table(args) -> int:
     c = TABLE_CASES[args.case]
     if args.n_max < 0:
         raise ValueError(f"--n-max must be >= 0, got {args.n_max}")
-    rows = _table_rows(c, args.n_max)
-
-    def fmt(v) -> str:
-        return "-" if v is None else format_rational(v)
-
+    reports = identities.log_table(c, range(args.n_max + 1))
+    rows = []
+    for r in reports:
+        values = {k: format_rational(v) for k, v in r.route_values.items()}
+        rows.append({"n": r.params["n"], "lhs": values["lhs"],
+                     "rhs": values["rhs"], "closed": values.get("closed", "-")})
     if args.json:
-        print(json.dumps([
-            {"n": row["n"], "lhs": fmt(row["lhs"]), "rhs": fmt(row["rhs"]),
-             "closed": fmt(row["closed"])}
-            for row in rows
-        ], indent=2))
+        print(json.dumps(rows, indent=2))
     elif args.csv:
         print("n,lhs,rhs,closed")
         for row in rows:
-            print(f"{row['n']},{fmt(row['lhs'])},{fmt(row['rhs'])},{fmt(row['closed'])}")
+            print(f"{row['n']},{row['lhs']},{row['rhs']},{row['closed']}")
     else:
         print(f"{'n':>4}  {'lhs':>16}  {'rhs':>16}  {'closed':>16}")
         for row in rows:
-            print(f"{row['n']:>4}  {fmt(row['lhs']):>16}  "
-                  f"{fmt(row['rhs']):>16}  {fmt(row['closed']):>16}")
-    ok = all(row["lhs"] == row["rhs"] for row in rows)
-    ok = ok and all(row["closed"] is None or row["closed"] == row["lhs"]
-                    for row in rows)
-    return 0 if ok else 1
+            print(f"{row['n']:>4}  {row['lhs']:>16}  "
+                  f"{row['rhs']:>16}  {row['closed']:>16}")
+    return 0 if all(r.verdict for r in reports) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

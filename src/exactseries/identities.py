@@ -64,13 +64,17 @@ def vandermonde_series_route(m: Fraction | int, n: int, c: int, N: int) -> Fract
 def log_lhs(n: int, c: int) -> Fraction:
     """The alternating series C(n,c+1) - C(n,c+2)/2 + C(n,c+3)/3 - ...
 
-    Only terms with 0 <= c+k <= n survive, so the sum is finite.
+    Only terms with 0 <= c+k <= n survive, so the sum is finite.  The row
+    C(n, c+k) is rolled forward in integers with
+    C(n, j+1) = C(n, j) * (n-j) / (j+1).
     """
     _check_n(n)
+    k0 = max(1, -c)
     total = Fraction(0)
-    for k in range(max(1, -c), n - c + 1):
-        sign = 1 if k % 2 == 1 else -1
-        total += Fraction(sign, k) * binom(n, c + k)
+    row = math.comb(n, c + k0)
+    for k in range(k0, n - c + 1):
+        total += Fraction(row if k % 2 == 1 else -row, k)
+        row = row * (n - c - k) // (c + k + 1)
     return total
 
 
@@ -78,12 +82,23 @@ def log_rhs(n: int, c: int) -> Fraction:
     """The dual series sum over lam >= 1 of C(n-lam, n-lam-c)/lam.
 
     Past lam = n-c every lower index is negative and the term vanishes;
-    c > n gives the empty sum.
+    c > n gives the empty sum.  For c >= 0 every surviving upper index
+    N = n-lam is at least c, where the complement rewrite makes the term
+    C(N, c); that row is rolled downward in integers with
+    C(N, c) = C(N+1, c) * (N+1-c) / (N+1).  For c < 0 a term with N >= 0
+    has lower index N-c > N and vanishes, so only the -c terms with N < 0
+    are computed.
     """
     _check_n(n)
     total = Fraction(0)
+    if c < 0:
+        for lam in range(n + 1, n - c + 1):
+            total += Fraction(1, lam) * binom(n - lam, n - lam - c)
+        return total
+    row = math.comb(n, c)
     for lam in range(1, n - c + 1):
-        total += Fraction(1, lam) * binom(n - lam, n - lam - c)
+        row = row * (n - lam + 1 - c) // (n - lam + 1)
+        total += Fraction(row, lam)
     return total
 
 
@@ -157,4 +172,16 @@ def verify(
             routes = {"lhs": log_lhs(n, c), "closed": log_closed(n, c)}
             notes = ("closed form extrapolated beyond proven range",) if c < -4 else ()
             reports.append(_report(identity, {"n": n, "c": c}, routes, notes))
+    return reports
+
+
+def log_table(c: int, ns: Iterable[int]) -> list[IdentityReport]:
+    """Rows of the worked log-series table for shift c, one report per n:
+    routes lhs and rhs, and closed where a closed form exists (c <= 0)."""
+    reports = []
+    for n in ns:
+        routes = {"lhs": log_lhs(n, c), "rhs": log_rhs(n, c)}
+        if c <= 0:
+            routes["closed"] = log_closed(n, c)
+        reports.append(_report("log_table", {"n": n, "c": c}, routes))
     return reports

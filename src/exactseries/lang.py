@@ -14,6 +14,7 @@ from fractions import Fraction
 from .series import (
     PowerSeries,
     SeriesDomainError,
+    ZeroToOrderError,
     constant,
     identity_z,
     log_geometric,
@@ -22,6 +23,7 @@ from .series import (
     ps_mul,
     ps_pow,
     ps_sub,
+    valuation,
 )
 
 
@@ -319,8 +321,12 @@ def _eval(expr, order: int) -> PowerSeries:
             except SeriesDomainError as exc:
                 raise EvalError(f"in {pretty(expr)}: {exc}") from exc
         case Pow(base, e):
+            b = _eval(base, order)
             try:
-                return ps_pow(_eval(base, order), e)
+                return ps_pow(b, e)
             except SeriesDomainError as exc:
+                if valuation(b) is None:
+                    # The base's leading term may lie above the order.
+                    exc = ZeroToOrderError(str(exc))
                 raise EvalError(f"in {pretty(expr)}: {exc}") from exc
     raise TypeError(f"not an expression node: {expr!r}")

@@ -165,6 +165,11 @@ class SeriesDomainError(ValueError):
     """Raised for a division or power that has no truncated-series value."""
 
 
+class ZeroToOrderError(SeriesDomainError):
+    """Raised when an operand is zero to its truncation order but the result
+    needs its leading term; the same operation at a higher order may succeed."""
+
+
 def ps_inverse(a: PowerSeries) -> PowerSeries:
     """Multiplicative inverse, ps_pow(a, -1); needs a nonzero constant term."""
     return ps_pow(a, -1)
@@ -174,18 +179,26 @@ def ps_div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     """Exact division a/b, factoring a common power of z first.
 
     Legal whenever the denominator's lowest power of z also divides the
-    numerator; z^2/z is fine, 1/z is not.
+    numerator; z^2/z is fine, 1/z is not.  A denominator that is zero to its
+    order, or a numerator zero to an order below the denominator's
+    valuation, raises ZeroToOrderError: the quotient's leading coefficient
+    lies beyond what the operands know.
     """
     v = valuation(b)
     if v is None:
-        raise SeriesDomainError("division by a series that is zero to its order")
+        raise ZeroToOrderError("division by a series that is zero to its order")
     if v > 0:
         if any(c != 0 for c in a.coeffs[:v]):
             raise SeriesDomainError(
                 "division would produce negative powers of z: denominator "
                 f"has valuation {v}, numerator does not"
             )
-        a = PowerSeries(a.coeffs[v:]) if a.order >= v else constant(0, 0)
+        if a.order < v:
+            raise ZeroToOrderError(
+                f"numerator is zero to its order {a.order}, below the "
+                f"denominator's valuation {v}"
+            )
+        a = PowerSeries(a.coeffs[v:])
         b = PowerSeries(b.coeffs[v:])
     return ps_mul(a, ps_inverse(b))
 

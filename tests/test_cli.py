@@ -54,6 +54,19 @@ def decimal_digits(n: int) -> str:
     return str(n) + "".join(reversed(chunks))
 
 
+@pytest.fixture
+def orders(monkeypatch):
+    """The orders at which the CLI evaluates an expression, in call order."""
+    seen = []
+    evaluate = cli.evaluate
+
+    def recording_evaluate(tree, order):
+        seen.append(order)
+        return evaluate(tree, order)
+    monkeypatch.setattr(cli, "evaluate", recording_evaluate)
+    return seen
+
+
 class TestParseGrid:
     def test_single_value(self):
         assert parse_grid("7") == [Fraction(7)]
@@ -118,10 +131,43 @@ class TestCoeff:
 
     @pytest.mark.parametrize("expr", ["z^10/z^10", "z^12/z^6/z^6"])
     def test_division_by_z_power_retries_once(self, expr, capsys):
-        # At the default order n + 8 the divisions leave fewer than n + 1
-        # coefficients; the missing orders are asked for once more.
+        # The divisions leave fewer than n + 1 coefficients; the missing
+        # orders are asked for again.
         assert run(["coeff", expr, "--n", "5"]) == 0
         assert capsys.readouterr().out == "0\n"
+
+    @pytest.mark.parametrize("expr, n, expected", [
+        ("z^20/z^20", 5, "0"),  # divisor zero to order n
+        ("(z^10/z^10-1)/z^5", 3, "0"),  # numerator shorter than z^5
+        ("(z^11/z^5)/z^6", 0, "1"),  # the same, with a nonzero answer
+        ("(z^10)^(1/2)", 5, "1"),  # base zero to order n
+        ("(z^10)^(1/2)", 0, "0"),
+    ])
+    def test_operand_zero_to_its_order_retries(self, expr, n, expected, capsys):
+        assert run(["coeff", expr, "--n", str(n)]) == 0
+        assert capsys.readouterr().out == expected + "\n"
+
+    @pytest.mark.parametrize("expr", ["(z-z)/(z-z)", "1/((1+z)-1-z)",
+                                      "(z-z)^(1/2)"])
+    @pytest.mark.parametrize("n", [0, 3, 1000])
+    def test_zero_to_every_order_exits_2(self, expr, n, orders, capsys):
+        assert run(["coeff", expr, "--n", str(n)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert orders[0] == n
+        assert max(orders) == n + cli.MAX_EXTRA_ORDERS
+
+    @pytest.mark.parametrize("expr", ["1/z", "2^(1/2)", "(z+z^2)^(1/2)"])
+    def test_final_errors_are_not_retried(self, expr, orders, capsys):
+        assert run(["coeff", expr, "--n", "2"]) == 2
+        assert orders == [2]
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_plain_expression_evaluates_once_at_order_n(self, orders, capsys):
+        assert run(["coeff", "z^2/(1-z)^4", "--n", "5"]) == 0
+        assert capsys.readouterr().out == "20\n"
+        assert orders == [5]
 
     def test_division_by_z_power_keeps_explicit_order(self, capsys):
         assert run(["coeff", "z^10/z^10", "--n", "5", "--order", "13"]) == 2
@@ -238,8 +284,16 @@ class TestTableCommand:
         assert run(["table", "euler", "--case", "c9", "--n-max", "2"]) == 2
         capsys.readouterr()
 
+    def test_disagreeing_route_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli.identities, "log_closed",
+                            lambda n, c: Fraction(n))
+        assert run(["table", "euler", "--case", "cm1", "--n-max", "2",
+                    "--csv"]) == 1
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "0,1,1,0", "1,1/2,1/2,1", "2,1/3,1/3,2"]
 
-@pytest.mark.parametrize("case", ["c0", "c1", "c2", "cm1", "cm2", "cm3"])
+
+@pytest.mark.parametrize("case", ["c0", "c1", "c2", "cm1", "cm2", "cm3", "cm4"])
 def test_golden_tables(case, capsys):
     assert run(["table", "euler", "--case", case, "--n-max", "7",
                 "--csv"]) == 0

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from exactseries.binomial import binom, harmonic
 from exactseries.identities import (
@@ -8,6 +9,7 @@ from exactseries.identities import (
     log_closed,
     log_lhs,
     log_rhs,
+    log_table,
     vandermonde_closed,
     vandermonde_series_route,
     vandermonde_sum,
@@ -175,3 +177,56 @@ class TestVerify:
         assert report.params == {"m": Fraction(3), "n": 4, "c": 0}
         assert report.route_values == {"sum": 35, "closed": 35, "series": 35}
         assert report.verdict
+
+    def test_log_table_rows(self):
+        reports = log_table(-2, range(0, 4))
+        assert [r.params for r in reports] == [{"n": n, "c": -2} for n in range(4)]
+        assert all(set(r.route_values) == {"lhs", "rhs", "closed"} for r in reports)
+        assert all(r.verdict for r in reports)
+        (report,) = log_table(2, [6])
+        assert report.route_values == {"lhs": Fraction(57, 4), "rhs": Fraction(57, 4)}
+        assert report.verdict
+
+
+# ------------------------------------------ reference per-term log routes
+# The log-series routes as they were before the rolling integer rows: every
+# term calls binom from scratch.  They share no code with the rows they
+# judge beyond binom itself.
+
+def reference_log_lhs(n: int, c: int) -> Fraction:
+    total = Fraction(0)
+    for k in range(max(1, -c), n - c + 1):
+        sign = 1 if k % 2 == 1 else -1
+        total += Fraction(sign, k) * binom(n, c + k)
+    return total
+
+
+def reference_log_rhs(n: int, c: int) -> Fraction:
+    total = Fraction(0)
+    for lam in range(1, n - c + 1):
+        total += Fraction(1, lam) * binom(n - lam, n - lam - c)
+    return total
+
+
+def test_log_routes_match_reference_on_small_grid():
+    # Every c < 0 window, c above n (the empty sum) and n = 0, exhaustively.
+    for n in range(0, 13):
+        for c in range(-10, n + 4):
+            assert log_lhs(n, c) == reference_log_lhs(n, c), (n, c)
+            assert log_rhs(n, c) == reference_log_rhs(n, c), (n, c)
+
+
+@given(point=st.integers(0, 60).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(-10, n + 3))))
+@example(point=(0, 0))
+@example(point=(0, -10))
+@example(point=(0, 3))
+@example(point=(60, 63))
+@example(point=(60, 60))
+@example(point=(60, -10))
+@example(point=(60, 0))
+@settings(max_examples=150, deadline=None)
+def test_log_routes_match_reference(point):
+    n, c = point
+    assert log_lhs(n, c) == reference_log_lhs(n, c)
+    assert log_rhs(n, c) == reference_log_rhs(n, c)

@@ -8,6 +8,7 @@ from exactseries.series import (
     MAX_POWER_BITS,
     PowerSeries,
     SeriesDomainError,
+    ZeroToOrderError,
     binomial_series,
     coefficient,
     constant,
@@ -216,6 +217,21 @@ class TestDivisionAndPowers:
     def test_div_rejects_negative_powers(self):
         with pytest.raises(SeriesDomainError):
             ps_div(constant(1, 4), series([0, 1, 0, 0, 0]))
+
+    def test_div_by_series_zero_to_its_order(self):
+        with pytest.raises(ZeroToOrderError):
+            ps_div(constant(1, 3), constant(0, 3))
+
+    def test_div_numerator_zero_below_divisor_valuation(self):
+        # z^8/z^5 at order 7 knows only three zeros; (that)/z^3 needs its
+        # fourth coefficient.
+        with pytest.raises(ZeroToOrderError):
+            ps_div(constant(0, 2), series([0, 0, 0, 1, 0, 0, 0, 0]))
+
+    def test_div_negative_powers_is_not_an_order_error(self):
+        with pytest.raises(SeriesDomainError) as info:
+            ps_div(series([0, 1, 0]), series([0, 0, 1]))
+        assert not isinstance(info.value, ZeroToOrderError)
 
     def test_pow_negative_integer(self):
         out = ps_pow(series([1, -1] + [0] * 8), -1)
