@@ -8,6 +8,7 @@ Exit codes: 0 success (all verdicts true), 1 any failed verdict,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -169,7 +170,10 @@ def _cmd_table(args) -> int:
     return 0 if all(r.verdict for r in reports) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Each command runs
+    the module's ``_cmd_<command>``, looked up by name at dispatch."""
     parser = argparse.ArgumentParser(
         prog="exactseries",
         description="Exact binomial-coefficient series identities.",
@@ -181,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_coeff.add_argument("--n", type=int, required=True)
     p_coeff.add_argument("--order", type=int, default=None)
     p_coeff.add_argument("--json", action="store_true")
-    p_coeff.set_defaults(func=_cmd_coeff)
 
     p_verify = sub.add_parser("verify", help="multi-route identity sweep")
     p_verify.add_argument("identity",
@@ -191,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", required=True, help="integer grid, e.g. 0..12")
     p_verify.add_argument("--c", required=True, help="integer grid, e.g. -5..5")
     p_verify.add_argument("--json", action="store_true")
-    p_verify.set_defaults(func=_cmd_verify)
 
     p_table = sub.add_parser("table", help="numeric tables of worked cases")
     p_table.add_argument("family", choices=["euler"])
@@ -200,29 +202,38 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = p_table.add_mutually_exclusive_group()
     fmt.add_argument("--csv", action="store_true")
     fmt.add_argument("--json", action="store_true")
-    p_table.set_defaults(func=_cmd_table)
 
     return parser
 
 
+def _fail(args, exc: Exception, message: str) -> int:
+    """Report an error on stderr and return exit code 2: one ``error:``
+    line, or under --json one JSON object with kind, message and, for a
+    lexical or parse error, the input offset pos."""
+    if args.json:
+        error = {"kind": type(exc).__name__, "message": message}
+        if isinstance(exc, (LexError, ParseError)):
+            error["pos"] = exc.pos
+        print(json.dumps(error), file=sys.stderr)
+    else:
+        print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
     try:
-        return args.func(args)
+        return globals()[f"_cmd_{args.command}"](args)
     except (LexError, ParseError, EvalError, ValueError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print("error: expression nested too deeply", file=sys.stderr)
-        return 2
+        return _fail(args, exc, str(exc))
+    except RecursionError as exc:
+        return _fail(args, exc, "expression nested too deeply")
     except Exception as exc:
         # A bug, but exit 1 is reserved for a false verdict.
-        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return _fail(args, exc, f"unexpected {type(exc).__name__}: {exc}")
 
 
 def main() -> None:

@@ -243,7 +243,12 @@ def parse(tokens: list[Token], length: int | None = None):
     if length is None:
         length = tokens[-1].pos + len(tokens[-1].text) if tokens else 0
     p = _Parser(tokens, length)
-    node = p.parse_expr()
+    try:
+        node = p.parse_expr()
+    except RecursionError:
+        tok = p.peek()
+        raise ParseError("expression nested too deeply",
+                         tok.pos if tok else length) from None
     if (tok := p.peek()) is not None:
         raise ParseError(f"trailing input {tok.text!r}", tok.pos)
     return node

@@ -37,7 +37,13 @@ class PowerSeries:
 
 def series(coeffs: Iterable[Fraction | int]) -> PowerSeries:
     """Build a series from an iterable of rationals (or ints)."""
-    return PowerSeries(tuple(Fraction(c) for c in coeffs))
+    # Tuples in this module, and *-arguments, are built from lists, never
+    # from generators.  tuple() of a generator allocates at a guessed length
+    # and resizes, so the block it frees joins CPython's tuple free list of
+    # another length than the one it came from.  Those lists keep up to 2000
+    # blocks for each length below 20 and only a full garbage collection
+    # empties them, so a process could hold some 36 000 idle blocks (4 MB).
+    return PowerSeries(tuple([Fraction(c) for c in coeffs]))
 
 
 def constant(value: Fraction | int, order: int) -> PowerSeries:
@@ -56,17 +62,17 @@ def identity_z(order: int) -> PowerSeries:
 
 def ps_add(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     n = min(a.order, b.order)
-    return PowerSeries(tuple(a.coeffs[k] + b.coeffs[k] for k in range(n + 1)))
+    return PowerSeries(tuple([a.coeffs[k] + b.coeffs[k] for k in range(n + 1)]))
 
 
 def ps_sub(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     n = min(a.order, b.order)
-    return PowerSeries(tuple(a.coeffs[k] - b.coeffs[k] for k in range(n + 1)))
+    return PowerSeries(tuple([a.coeffs[k] - b.coeffs[k] for k in range(n + 1)]))
 
 
 def _integer_numerators(cs: tuple[Fraction, ...]) -> tuple[list[int], int]:
     """Rationals cs as integer numerators over one denominator, their lcm."""
-    d = math.lcm(*(c.denominator for c in cs))
+    d = math.lcm(*[c.denominator for c in cs])
     return [c.numerator * (d // c.denominator) for c in cs], d
 
 
@@ -139,7 +145,7 @@ def log_geometric(order: int) -> PowerSeries:
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     return PowerSeries(
-        tuple(Fraction(0) if k == 0 else Fraction(1, k) for k in range(order + 1))
+        tuple([Fraction(0)] + [Fraction(1, k) for k in range(1, order + 1)])
     )
 
 

@@ -197,6 +197,12 @@ class TestCoeff:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_deep_parentheses_report_offset(self, capsys):
+        expr = "(" * 2000 + "z" + ")" * 2000
+        assert run(["coeff", expr, "--n", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: expression nested too deeply at offset ")
+
     def test_value_over_str_digit_limit_prints(self, capsys):
         digits = decimal_digits(2**20000)
         assert len(digits) > 4300
@@ -206,6 +212,75 @@ class TestCoeff:
         assert json.loads(capsys.readouterr().out)["coefficient"] == digits
         assert run(["coeff", "2^(-20000)", "--n", "0"]) == 0
         assert capsys.readouterr().out == f"1/{digits}\n"
+
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+class TestJsonErrors:
+    """Under --json an exit-2 error is one JSON object on stderr."""
+
+    def error(self, argv, capsys) -> dict:
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.endswith("\n")
+        return json.loads(err)
+
+    def test_lex_error(self, capsys):
+        assert self.error(["coeff", "z$", "--n", "1", "--json"], capsys) == {
+            "kind": "LexError",
+            "message": "unexpected character '$' at offset 1", "pos": 1}
+
+    def test_parse_error(self, capsys):
+        assert self.error(["coeff", "z^(1/0)", "--n", "1", "--json"],
+                          capsys) == {
+            "kind": "ParseError",
+            "message": "zero denominator in exponent at offset 5", "pos": 5}
+
+    def test_eval_error_has_no_pos(self, capsys):
+        error = self.error(["coeff", "1/z", "--n", "1", "--json"], capsys)
+        assert set(error) == {"kind", "message"}
+        assert error["kind"] == "EvalError"
+        assert "negative powers of z" in error["message"]
+
+    def test_deep_nesting_reports_pos(self, capsys):
+        expr = "(" * 2000 + "z" + ")" * 2000
+        error = self.error(["coeff", expr, "--n", "1", "--json"], capsys)
+        assert error["kind"] == "ParseError"
+        assert 0 <= error["pos"] < len(expr)
+        assert error["message"] == (
+            f"expression nested too deeply at offset {error['pos']}")
+
+    def test_deep_sum_in_evaluator(self, capsys):
+        expr = "+".join(["z"] * 3000)
+        assert self.error(["coeff", expr, "--n", "1", "--json"], capsys) == {
+            "kind": "RecursionError",
+            "message": "expression nested too deeply"}
+
+    def test_verify_and_table(self, capsys):
+        assert self.error(["verify", "vandermonde", "--m", "1", "--n", "0",
+                           "--c=-1", "--json"], capsys) == {
+            "kind": "ValueError", "message": "vandermonde needs c >= 0"}
+        assert self.error(["table", "euler", "--case", "c0", "--n-max", "-1",
+                           "--json"], capsys) == {
+            "kind": "ValueError", "message": "--n-max must be >= 0, got -1"}
+
+    def test_unexpected_exception(self, monkeypatch, capsys):
+        def broken(args):
+            raise TypeError("unsupported operand")
+        monkeypatch.setattr(cli, "_cmd_verify", broken)
+        assert self.error(["verify", "log-dual", "--n", "0", "--c", "0",
+                           "--json"], capsys) == {
+            "kind": "TypeError",
+            "message": "unexpected TypeError: unsupported operand"}
+
+    def test_usage_error_stays_argparse_text(self, capsys):
+        assert run(["coeff", "z", "--json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
 
 
 class TestVerifyCommand:

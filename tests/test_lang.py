@@ -94,6 +94,18 @@ class TestParse:
     def test_parse_accepts_token_list(self):
         assert parse(tokenize("1+z")) == Add(Lit(Fraction(1)), Var())
 
+    @pytest.mark.parametrize("text", [
+        "(" * 2000 + "z" + ")" * 2000,
+        "-" * 2000 + "z",
+        "z^(1/2)*" + "(" * 2000 + "z" + ")" * 2000,
+    ], ids=["parentheses", "unary-minus", "after-a-product"])
+    def test_deep_nesting_is_a_parse_error_with_offset(self, text):
+        with pytest.raises(ParseError) as err:
+            parse_text(text)
+        assert str(err.value).startswith("expression nested too deeply")
+        assert 0 < err.value.pos < len(text)
+        assert text[err.value.pos] in "(-"
+
 
 ROUND_TRIP_CORPUS = [
     "z",

@@ -1,3 +1,5 @@
+import gc
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,7 @@ from exactseries.series import (
     ps_monomial_shift,
     ps_mul,
     ps_pow,
+    ps_sub,
     series,
     valuation,
 )
@@ -547,3 +550,32 @@ def test_inverse_matches_miller(case):
 
 def test_pow_of_z_squared_beyond_order():
     assert ps_pow(series([0, 1]), 2).coeffs == (0, 0)
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython",
+                    reason="measures CPython's tuple free lists")
+def test_series_ops_leave_allocated_blocks_flat():
+    # A tuple built from a generator is resized after it is allocated, so
+    # its block is freed onto the free list of another length.  Those lists
+    # hold up to 2000 blocks per length below 20 and, with gc off, nothing
+    # empties them: built that way, 300 rounds leave some 36 000 blocks.
+    def one_round():
+        for n in range(19):
+            a = series([Fraction(1, k + 1) for k in range(n + 1)])
+            g = log_geometric(n)
+            ps_add(a, g)
+            ps_sub(a, g)
+            ps_mul(a, g)
+            ps_pow(a, Fraction(-1, 2))
+
+    one_round()
+    gc.collect()
+    gc.disable()
+    try:
+        before = sys.getallocatedblocks()
+        for _ in range(300):
+            one_round()
+        grown = sys.getallocatedblocks() - before
+    finally:
+        gc.enable()
+    assert grown < 2000
