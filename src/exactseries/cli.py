@@ -227,7 +227,7 @@ def run(argv: list[str]) -> int:
         return 0 if exc.code == 0 else 2
     try:
         return globals()[f"_cmd_{args.command}"](args)
-    except (LexError, ParseError, EvalError, ValueError, IndexError) as exc:
+    except (ValueError, IndexError) as exc:
         return _fail(args, exc, str(exc))
     except RecursionError as exc:
         return _fail(args, exc, "expression nested too deeply")

@@ -4,12 +4,23 @@ parentheses, and log in the two shapes log(1/(1-z)) and log(1-z).
 Precedence, tightest first: ^  then unary -  then * /  then + -.
 Exponents are literals known at parse time: an integer, or a parenthesized
 integer or ratio such as ^(-3) or ^(1/2).
+
+An AST node is a tuple whose first item names its shape:
+
+    ("lit", value)        a Fraction literal
+    ("z",)                the variable
+    ("log",)              log(1/(1-z)) = -log(1-z), the only log shape
+    ("^", base, e)        base to the Fraction power e
+    (op, left, right)     op one of "+", "-", "*", "/"
+
+Unary minus is ("-", ("lit", 0), operand).  Trees compare by value, and the
+tag keeps shapes with the same fields apart, such as 1*(1+z) and 1/(1+z).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .series import (
     PowerSeries,
@@ -43,57 +54,9 @@ class EvalError(ValueError):
     pass
 
 
-# ---------------------------------------------------------------- AST
-
-@dataclass(frozen=True)
-class Lit:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Var:
-    pass
-
-
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Div:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: Fraction
-
-
-@dataclass(frozen=True)
-class LogGeom:
-    """log(1/(1-z)) = -log(1-z), the only log shape the language knows."""
-
-
 # ---------------------------------------------------------------- lexer
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # INT, NAME, or the operator/paren character itself
     text: str
     pos: int
@@ -159,23 +122,21 @@ class _Parser:
         node = self.parse_term()
         while (tok := self.peek()) and tok.kind in "+-":
             self.next()
-            right = self.parse_term()
-            node = Add(node, right) if tok.kind == "+" else Sub(node, right)
+            node = (tok.kind, node, self.parse_term())
         return node
 
     def parse_term(self):
         node = self.parse_unary()
         while (tok := self.peek()) and tok.kind in "*/":
             self.next()
-            right = self.parse_unary()
-            node = Mul(node, right) if tok.kind == "*" else Div(node, right)
+            node = (tok.kind, node, self.parse_unary())
         return node
 
     def parse_unary(self):
         tok = self.peek()
         if tok and tok.kind == "-":
             self.next()
-            return Sub(Lit(Fraction(0)), self.parse_unary())
+            return ("-", ("lit", Fraction(0)), self.parse_unary())
         return self.parse_power()
 
     def parse_power(self):
@@ -183,7 +144,7 @@ class _Parser:
         tok = self.peek()
         if tok and tok.kind == "^":
             self.next()
-            return Pow(base, self.parse_exponent())
+            return ("^", base, self.parse_exponent())
         return base
 
     def parse_exponent(self) -> Fraction:
@@ -213,9 +174,9 @@ class _Parser:
     def parse_atom(self):
         tok = self.next()
         if tok.kind == "INT":
-            return Lit(Fraction(int(tok.text)))
+            return ("lit", Fraction(int(tok.text)))
         if tok.kind == "NAME" and tok.text == "z":
-            return Var()
+            return ("z",)
         if tok.kind == "NAME" and tok.text == "log":
             self.expect("(")
             arg = self.parse_expr()
@@ -229,11 +190,11 @@ class _Parser:
 
     @staticmethod
     def _log_node(arg, pos: int):
-        one_minus_z = Sub(Lit(Fraction(1)), Var())
-        if arg == Div(Lit(Fraction(1)), one_minus_z):
-            return LogGeom()
+        one_minus_z = ("-", ("lit", Fraction(1)), ("z",))
+        if arg == ("/", ("lit", Fraction(1)), one_minus_z):
+            return ("log",)
         if arg == one_minus_z:
-            return Sub(Lit(Fraction(0)), LogGeom())
+            return ("-", ("lit", Fraction(0)), ("log",))
         raise ParseError(
             "log supports only the shapes log(1/(1-z)) and log(1-z)", pos
         )
@@ -264,27 +225,21 @@ def pretty(expr) -> str:
     """Render an AST so that reparsing gives back the identical tree.
     Binary subexpressions are fully parenthesized."""
     match expr:
-        case Lit(value):
+        case ("lit", value):
             if value.denominator == 1:
                 return str(value.numerator)
             return f"({value.numerator}/{value.denominator})"
-        case Var():
+        case ("z",):
             return "z"
-        case LogGeom():
+        case ("log",):
             return "log(1/(1-z))"
-        case Sub(Lit(value), inner) if value == 0:
+        case ("-", ("lit", 0), inner):
             return f"-{pretty(inner)}"
-        case Add(l, r):
-            return f"({pretty(l)} + {pretty(r)})"
-        case Sub(l, r):
-            return f"({pretty(l)} - {pretty(r)})"
-        case Mul(l, r):
-            return f"({pretty(l)} * {pretty(r)})"
-        case Div(l, r):
-            return f"({pretty(l)} / {pretty(r)})"
-        case Pow(base, e):
+        case (("+" | "-" | "*" | "/") as op, l, r):
+            return f"({pretty(l)} {op} {pretty(r)})"
+        case ("^", base, e):
             bs = pretty(base)
-            if not (bs.startswith("(") or isinstance(base, (Lit, Var, LogGeom))):
+            if not (bs.startswith("(") or base[0] in ("lit", "z", "log")):
                 bs = f"({bs})"
             if e.denominator == 1 and e >= 0:
                 return f"{bs}^{e.numerator}"
@@ -296,36 +251,31 @@ def pretty(expr) -> str:
 
 # ---------------------------------------------------------------- evaluator
 
+_BINARY = {"+": ps_add, "-": ps_sub, "*": ps_mul, "/": ps_div}
+
+
 def evaluate(expr, order: int) -> PowerSeries:
     """Expand an expression into a truncated series of the given order."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    try:
-        return _eval(expr, order)
-    except SeriesDomainError as exc:
-        raise EvalError(str(exc)) from exc
+    return _eval(expr, order)
 
 
 def _eval(expr, order: int) -> PowerSeries:
     match expr:
-        case Lit(value):
+        case ("lit", value):
             return constant(value, order)
-        case Var():
+        case ("z",):
             return identity_z(order)
-        case LogGeom():
+        case ("log",):
             return log_geometric(order)
-        case Add(l, r):
-            return ps_add(_eval(l, order), _eval(r, order))
-        case Sub(l, r):
-            return ps_sub(_eval(l, order), _eval(r, order))
-        case Mul(l, r):
-            return ps_mul(_eval(l, order), _eval(r, order))
-        case Div(l, r):
+        case (("+" | "-" | "*" | "/") as op, l, r):
+            a, b = _eval(l, order), _eval(r, order)
             try:
-                return ps_div(_eval(l, order), _eval(r, order))
+                return _BINARY[op](a, b)
             except SeriesDomainError as exc:
                 raise EvalError(f"in {pretty(expr)}: {exc}") from exc
-        case Pow(base, e):
+        case ("^", base, e):
             b = _eval(base, order)
             try:
                 return ps_pow(b, e)

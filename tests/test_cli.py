@@ -174,6 +174,12 @@ class TestCoeff:
         err = capsys.readouterr().err
         assert err == "error: coefficient 5 outside truncation range 0..3\n"
 
+    def test_explicit_order_reaches_past_the_cap(self, capsys):
+        # z^100 is zero to every order up to n + MAX_EXTRA_ORDERS.
+        assert run(["coeff", "z^100/z^100", "--n", "5"]) == 2
+        assert run(["coeff", "z^100/z^100", "--n", "5", "--order", "200"]) == 0
+        assert capsys.readouterr().out == "0\n"
+
     def test_unexpected_exception_exits_2(self, monkeypatch, capsys):
         def broken(args):
             raise TypeError("unsupported operand")

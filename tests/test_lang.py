@@ -3,16 +3,9 @@ from fractions import Fraction
 import pytest
 
 from exactseries.lang import (
-    Add,
-    Div,
     EvalError,
     LexError,
-    Lit,
-    LogGeom,
     ParseError,
-    Pow,
-    Sub,
-    Var,
     evaluate,
     parse,
     parse_text,
@@ -45,34 +38,43 @@ class TestTokenize:
 class TestParse:
     def test_quotient_of_powers(self):
         expr = parse_text("z^2/(1-z)^4")
-        assert expr == Div(
-            Pow(Var(), Fraction(2)),
-            Pow(Sub(Lit(Fraction(1)), Var()), Fraction(4)),
+        assert expr == (
+            "/",
+            ("^", ("z",), Fraction(2)),
+            ("^", ("-", ("lit", Fraction(1)), ("z",)), Fraction(4)),
         )
 
     def test_rational_exponent(self):
         expr = parse_text("(1+z/(1-z))^(1/2)")
-        assert expr == Pow(
-            Add(Lit(Fraction(1)), Div(Var(), Sub(Lit(Fraction(1)), Var()))),
+        assert expr == (
+            "^",
+            ("+", ("lit", Fraction(1)),
+             ("/", ("z",), ("-", ("lit", Fraction(1)), ("z",)))),
             Fraction(1, 2),
         )
 
     def test_negative_exponent(self):
-        assert parse_text("(1-z)^(-3)") == Pow(
-            Sub(Lit(Fraction(1)), Var()), Fraction(-3)
+        assert parse_text("(1-z)^(-3)") == (
+            "^", ("-", ("lit", Fraction(1)), ("z",)), Fraction(-3)
         )
 
     def test_log_geometric_shape(self):
-        assert parse_text("log(1/(1-z))") == LogGeom()
+        assert parse_text("log(1/(1-z))") == ("log",)
 
     def test_negated_log_shape(self):
-        assert parse_text("-log(1-z)") == Sub(
-            Lit(Fraction(0)), Sub(Lit(Fraction(0)), LogGeom())
+        assert parse_text("-log(1-z)") == (
+            "-", ("lit", Fraction(0)), ("-", ("lit", Fraction(0)), ("log",))
         )
 
-    def test_unsupported_log_shape(self):
+    # Look-alikes of the supported shapes: a tree comparison that ignored
+    # the operators would take log(1*(1+z)) and log(1/(1+z)) for
+    # log(1/(1-z)).
+    @pytest.mark.parametrize("text", [
+        "log(1+z)", "log(1*(1+z))", "log(1/(1+z))", "log(z-1)",
+    ])
+    def test_unsupported_log_shape(self, text):
         with pytest.raises(ParseError):
-            parse_text("log(1+z)")
+            parse_text(text)
 
     def test_non_literal_exponent(self):
         with pytest.raises(ParseError):
@@ -92,7 +94,7 @@ class TestParse:
         assert expr == parse_text("(-(z^2))*3")
 
     def test_parse_accepts_token_list(self):
-        assert parse(tokenize("1+z")) == Add(Lit(Fraction(1)), Var())
+        assert parse(tokenize("1+z")) == ("+", ("lit", Fraction(1)), ("z",))
 
     @pytest.mark.parametrize("text", [
         "(" * 2000 + "z" + ")" * 2000,
@@ -147,6 +149,14 @@ ROUND_TRIP_CORPUS = [
 def test_pretty_round_trip(text):
     expr = parse_text(text)
     assert parse_text(pretty(expr)) == expr
+
+
+@pytest.mark.parametrize("node", [("%", ("z",), ("z",)), None])
+def test_non_node_is_a_type_error(node):
+    with pytest.raises(TypeError):
+        pretty(node)
+    with pytest.raises(TypeError):
+        evaluate(node, 4)
 
 
 class TestEvaluate:
