@@ -43,9 +43,6 @@ class BinomialSymbol:
     upper: Fraction
     lower: int
 
-    def value(self) -> Fraction:
-        return binom(self.upper, self.lower)
-
 
 def complement(sym: BinomialSymbol) -> BinomialSymbol:
     """Rewrite C(p, q) as C(p, p-q).

@@ -28,12 +28,16 @@ def _check_n(n: int) -> None:
         )
 
 
-def vandermonde_sum(m: Fraction | int, n: int, c: int) -> Fraction:
-    """Sum over k of C(m, k) * C(n, c+k); terminates because c+k > n kills
-    every later term for integer n >= 0."""
+def _check_vandermonde(n: int, c: int) -> None:
     _check_n(n)
     if c < 0:
         raise ValueError(f"vandermonde needs c >= 0, got c={c}")
+
+
+def vandermonde_sum(m: Fraction | int, n: int, c: int) -> Fraction:
+    """Sum over k of C(m, k) * C(n, c+k); terminates because c+k > n kills
+    every later term for integer n >= 0."""
+    _check_vandermonde(n, c)
     m = Fraction(m)
     total = Fraction(0)
     for k in range(0, max(0, n - c) + 1):
@@ -44,17 +48,13 @@ def vandermonde_sum(m: Fraction | int, n: int, c: int) -> Fraction:
 def vandermonde_closed(m: Fraction | int, n: int, c: int) -> Fraction:
     """Closed form C(m+n, n-c); the lower index n-c stays an integer even
     for rational m."""
-    _check_n(n)
-    if c < 0:
-        raise ValueError(f"vandermonde needs c >= 0, got c={c}")
+    _check_vandermonde(n, c)
     return binom(Fraction(m) + n, n - c)
 
 
 def vandermonde_series_route(m: Fraction | int, n: int, c: int, N: int) -> Fraction:
     """Coefficient of z^n in z^c * (1-z)^(-(m+c+1)), built from series ops."""
-    _check_n(n)
-    if c < 0:
-        raise ValueError(f"vandermonde needs c >= 0, got c={c}")
+    _check_vandermonde(n, c)
     if N < n:
         raise ValueError(f"truncation order {N} is below requested coefficient {n}")
     expansion = binomial_series(-(Fraction(m) + c + 1), N, at_minus_z=True)

@@ -4,6 +4,10 @@ A series stores coefficients for z^0 .. z^order.  Coefficients beyond the
 truncation order are unknown, not zero: arithmetic between series of
 different orders truncates to the smaller order, and asking for a
 coefficient beyond the order is an error rather than a silent 0.
+
+Coefficient k is stored as nums[k]/den, integer numerators over one
+denominator (the layout of FLINT's ``fmpq_poly``), reduced on construction so
+that den > 0 and gcd(den, *nums) == 1: equal series compare equal.
 """
 
 from __future__ import annotations
@@ -18,75 +22,78 @@ from .binomial import binom
 
 @dataclass(frozen=True)
 class PowerSeries:
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int = 1
 
     def __post_init__(self):
-        if not self.coeffs:
+        nums, den = tuple(self.nums), self.den
+        if not nums:
             raise ValueError("a series stores at least the z^0 coefficient")
+        if den == 0:
+            raise ZeroDivisionError("a series needs a nonzero denominator")
+        # Tuples and *-arguments are lists or stored tuples: CPython's tuple
+        # free lists (2000 idle blocks a length) gain a block when a tuple()
+        # of a generator resizes, and in 3.11 for each length-20 tuple freed.
+        g = math.gcd(math.gcd(*nums), den)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums, den = tuple([x // g for x in nums]), den // g
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        return ps_add(self, other)
-
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        return ps_mul(self, other)
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as reduced Fractions, built on each call."""
+        return tuple([Fraction(x, self.den) for x in self.nums])
 
 
 def series(coeffs: Iterable[Fraction | int]) -> PowerSeries:
     """Build a series from an iterable of rationals (or ints)."""
-    # Tuples in this module, and *-arguments, are built from lists, never
-    # from generators.  tuple() of a generator allocates at a guessed length
-    # and resizes, so the block it frees joins CPython's tuple free list of
-    # another length than the one it came from.  Those lists keep up to 2000
-    # blocks for each length below 20 and only a full garbage collection
-    # empties them, so a process could hold some 36 000 idle blocks (4 MB).
-    return PowerSeries(tuple([Fraction(c) for c in coeffs]))
+    cs = [Fraction(c) for c in coeffs]
+    den = math.lcm(*[c.denominator for c in cs])
+    return PowerSeries([c.numerator * (den // c.denominator) for c in cs], den)
 
 
 def constant(value: Fraction | int, order: int) -> PowerSeries:
-    cs = [Fraction(0)] * (order + 1)
-    cs[0] = Fraction(value)
-    return PowerSeries(tuple(cs))
+    value = Fraction(value)
+    nums = [0] * (order + 1)
+    nums[0] = value.numerator
+    return PowerSeries(nums, value.denominator)
 
 
 def identity_z(order: int) -> PowerSeries:
     """The series of the variable itself: z, to the given order."""
-    cs = [Fraction(0)] * (order + 1)
+    nums = [0] * (order + 1)
     if order >= 1:
-        cs[1] = Fraction(1)
-    return PowerSeries(tuple(cs))
+        nums[1] = 1
+    return PowerSeries(nums)
 
 
 def ps_add(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    n = min(a.order, b.order)
-    return PowerSeries(tuple([a.coeffs[k] + b.coeffs[k] for k in range(n + 1)]))
+    den = math.lcm(a.den, b.den)
+    sa, sb = den // a.den, den // b.den
+    return PowerSeries([x * sa + y * sb for x, y in zip(a.nums, b.nums)], den)
 
 
 def ps_sub(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    n = min(a.order, b.order)
-    return PowerSeries(tuple([a.coeffs[k] - b.coeffs[k] for k in range(n + 1)]))
-
-
-def _integer_numerators(cs: tuple[Fraction, ...]) -> tuple[list[int], int]:
-    """Rationals cs as integer numerators over one denominator, their lcm."""
-    d = math.lcm(*[c.denominator for c in cs])
-    return [c.numerator * (d // c.denominator) for c in cs], d
+    return ps_add(a, PowerSeries([-y for y in b.nums], b.den))
 
 
 def ps_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     """Cauchy product truncated at the smaller order.
 
     Kronecker substitution (D. Harvey, J. Symbolic Comput. 44, 2009): each
-    operand becomes integer numerators over one denominator, packed into one
-    integer at ``bits`` bits per coefficient, so a single big-integer
-    multiplication yields every coefficient of the product in its own slot.
+    operand's numerators are packed into one integer at ``bits`` bits per
+    coefficient, so a single big-integer multiplication yields every
+    numerator of the product, over a.den * b.den, in its own slot.
     """
     n = min(a.order, b.order)
-    xs, dx = _integer_numerators(a.coeffs[: n + 1])
-    ys, dy = _integer_numerators(b.coeffs[: n + 1])
+    xs, ys = a.nums[: n + 1], b.nums[: n + 1]
     # Every product slot is a sum of at most n + 1 terms x_i * y_j, so it
     # fits in bits - 1 bits plus a sign.
     bits = (max(map(abs, xs)) * max(map(abs, ys)) * (n + 1)).bit_length() + 1
@@ -96,23 +103,23 @@ def ps_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
         py = (py << bits) + y
     # The low n + 1 slots depend only on the product modulo 2^(bits*(n+1)).
     prod = (px * py) & ((1 << bits * (n + 1)) - 1)
-    mask, half, d = (1 << bits) - 1, 1 << (bits - 1), dx * dy
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
     out = []
     for _ in range(n + 1):
         slot = prod & mask
         if slot >= half:
             slot -= 1 << bits
         prod = (prod - slot) >> bits
-        out.append(Fraction(slot, d))
-    return PowerSeries(tuple(out))
+        out.append(slot)
+    return PowerSeries(out, a.den * b.den)
 
 
 def ps_monomial_shift(a: PowerSeries, p: int) -> PowerSeries:
     """Multiply by z^p: shift coefficients up, keep the order, drop the top."""
     if p < 0:
         raise ValueError(f"monomial shift needs p >= 0, got {p}")
-    zeros = (Fraction(0),) * min(p, a.order + 1)
-    return PowerSeries((zeros + a.coeffs)[: a.order + 1])
+    zeros = (0,) * min(p, a.order + 1)
+    return PowerSeries((zeros + a.nums)[: a.order + 1], a.den)
 
 
 def coefficient(a: PowerSeries, n: int) -> Fraction:
@@ -121,32 +128,27 @@ def coefficient(a: PowerSeries, n: int) -> Fraction:
         raise IndexError(
             f"coefficient {n} outside truncation range 0..{a.order}"
         )
-    return a.coeffs[n]
+    return Fraction(a.nums[n], a.den)
 
 
 def binomial_series(m: Fraction | int, order: int, at_minus_z: bool = False) -> PowerSeries:
     """Expansion of (1+z)^m to the given order; coefficient k is C(m, k).
 
-    With ``at_minus_z`` the variable is negated, giving (1-z)^m.  The row is
-    built with the ratio recurrence C(m, k) = C(m, k-1) * (m-k+1)/k.
+    With ``at_minus_z`` the variable is negated, giving (1-z)^m: ps_pow of
+    the series 1 - z instead of 1 + z.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    m = Fraction(m)
-    sign = -1 if at_minus_z else 1
-    out = [Fraction(1)]
-    for k in range(1, order + 1):
-        out.append(out[-1] * (sign * (m - k + 1)) / k)
-    return PowerSeries(tuple(out))
+    base = [1, -1 if at_minus_z else 1] + [0] * (order - 1)
+    return ps_pow(PowerSeries(base[: order + 1]), m)
 
 
 def log_geometric(order: int) -> PowerSeries:
     """-log(1-z) = z + z^2/2 + z^3/3 + ... to the given order."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    return PowerSeries(
-        tuple([Fraction(0)] + [Fraction(1, k) for k in range(1, order + 1)])
-    )
+    den = math.lcm(*range(1, order + 1))
+    return PowerSeries([0] + [den // k for k in range(1, order + 1)], den)
 
 
 def lemma_coefficient(p: int, q: Fraction | int, n: int) -> Fraction:
@@ -161,10 +163,7 @@ def lemma_coefficient(p: int, q: Fraction | int, n: int) -> Fraction:
 def valuation(a: PowerSeries) -> int | None:
     """Index of the first nonzero coefficient, or None if all stored
     coefficients vanish."""
-    for k, c in enumerate(a.coeffs):
-        if c != 0:
-            return k
-    return None
+    return next((k for k, x in enumerate(a.nums) if x), None)
 
 
 class SeriesDomainError(ValueError):
@@ -194,7 +193,7 @@ def ps_div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     if v is None:
         raise ZeroToOrderError("division by a series that is zero to its order")
     if v > 0:
-        if any(c != 0 for c in a.coeffs[:v]):
+        if any(a.nums[:v]):
             raise SeriesDomainError(
                 "division would produce negative powers of z: denominator "
                 f"has valuation {v}, numerator does not"
@@ -204,16 +203,17 @@ def ps_div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
                 f"numerator is zero to its order {a.order}, below the "
                 f"denominator's valuation {v}"
             )
-        a = PowerSeries(a.coeffs[v:])
-        b = PowerSeries(b.coeffs[v:])
+        a = PowerSeries(a.nums[v:], a.den)
+        b = PowerSeries(b.nums[v:], b.den)
     return ps_mul(a, ps_inverse(b))
 
 
 def _int_nth_root(value: int, d: int) -> int | None:
     """Exact d-th root (d >= 1) of a nonzero integer, or None."""
     x = abs(value)
-    # Integer Newton iteration from above converges to floor(x^(1/d)).
-    r = 1 << -(-x.bit_length() // d)
+    # Integer Newton iteration from above converges to floor(x^(1/d)).  For
+    # x < 2^d the floor is 1; starting at 2 would build 2^(d-1).
+    r = 1 << -(-x.bit_length() // d) if x.bit_length() > d else 1
     while (nxt := ((d - 1) * r + x // r ** (d - 1)) // d) < r:
         r = nxt
     r = -r if value < 0 else r
@@ -254,10 +254,11 @@ def ps_pow(a: PowerSeries, exponent: Fraction | int) -> PowerSeries:
         q * k * u0 * b_k = sum_{j=1..k} (p*j - q*k) * u_j * b_{k-j},
 
     so the weights are integers and the cost is O(order^2) whatever the
-    exponent.  The sum runs on integers: u becomes integer numerators ``us``
-    (the recurrence is homogeneous in u, so u's denominator cancels), and
-    c = (u/u0)^e is kept as integer numerators ``cs`` over one running
-    denominator ``lcd``, so step k is one integer sum and one gcd.
+    exponent.  The sum runs on u's integer numerators ``us`` (the recurrence
+    is homogeneous in u, so u's denominator cancels), and c = (u/u0)^e is
+    kept as integer numerators ``cs`` over one running denominator ``lcd``,
+    so step k is one integer sum and one gcd.  Each reduced step c_k is kept
+    too, and all are scaled to the final ``lcd`` once, at the end.
     """
     e = Fraction(exponent)
     if e == 0:
@@ -273,17 +274,15 @@ def ps_pow(a: PowerSeries, exponent: Fraction | int) -> PowerSeries:
             f"power produces z^({shift}), not a nonnegative integer power"
         )
     shift = int(shift)
-    u = a.coeffs[s:]
-    order = min(a.order, len(u) - 1 + shift)
+    us = a.nums[s:]
+    order = min(a.order, len(us) - 1 + shift)
     p, q = (e + 1).as_integer_ratio()
-    b0 = fraction_pow(u[0], e)
-    b = [b0]
-    us, _ = _integer_numerators(u)
+    b0 = fraction_pow(Fraction(us[0], a.den), e)
     terms = [(j, uj) for j, uj in enumerate(us) if j and uj]
     # Step k reads cs[k - j] only for 1 <= j <= reach, so when lcd grows only
     # the last ``reach`` entries of cs still need rescaling.
     reach = terms[-1][0] if terms else 0
-    cs, lcd = [1], 1
+    cs, lcd, steps = [1], 1, [(1, 1)]
     for k in range(1, order - shift + 1):
         qk = q * k
         acc = sum((p * j - qk) * uj * cs[k - j] for j, uj in terms if j <= k)
@@ -292,12 +291,13 @@ def ps_pow(a: PowerSeries, exponent: Fraction | int) -> PowerSeries:
         num, den = acc // g, den // g
         if den < 0:
             num, den = -num, -den
-        b.append(Fraction(b0.numerator * num, b0.denominator * den))
+        steps.append((num, den))
         if lcd % den:
             scale = den // math.gcd(lcd, den)
             lcd *= scale
             lo = max(0, k + 1 - reach)
             cs[lo:] = [x * scale for x in cs[lo:]]
         cs.append(num * (lcd // den))
-    zeros = (Fraction(0),) * min(shift, order + 1)
-    return PowerSeries((zeros + tuple(b))[: order + 1])
+    zeros = [0] * min(shift, order + 1)
+    nums = [b0.numerator * num * (lcd // den) for num, den in steps]
+    return PowerSeries((zeros + nums)[: order + 1], b0.denominator * lcd)

@@ -80,7 +80,7 @@ class TestComplement:
         for n in range(6):
             out = complement(BinomialSymbol(Fraction(n), 0))
             assert out.lower == n
-            assert out.value() == 1 == binom(n, 0)
+            assert binom(out.upper, out.lower) == 1 == binom(n, 0)
 
     def test_rejects_negative_upper(self):
         with pytest.raises(ComplementError):

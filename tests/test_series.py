@@ -1,5 +1,7 @@
 import gc
+import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from exactseries.series import (
     coefficient,
     constant,
     fraction_pow,
+    identity_z,
     lemma_coefficient,
     log_geometric,
     ps_add,
@@ -284,6 +287,22 @@ class TestFractionPow:
         with pytest.raises(SeriesDomainError):
             fraction_pow(Fraction(-4), Fraction(1, 2))
 
+    def test_root_of_small_base_builds_no_large_power(self):
+        # Newton's iteration started from 2 would build 2^(d-1), an integer
+        # of 1.25 MB at d = 10^7, before finding the root 1.
+        d = 10**7
+        tracemalloc.start()
+        try:
+            assert fraction_pow(Fraction(1), Fraction(1, d)) == 1
+            assert fraction_pow(Fraction(-1), Fraction(3, d + 1)) == -1
+            with pytest.raises(SeriesDomainError):
+                fraction_pow(Fraction(5, 3), Fraction(1, d))
+            assert binomial_series(Fraction(1, d), 2).coeffs[1] == Fraction(1, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
 
 # ------------------------------------------------ reference product algorithm
 # The schoolbook Cauchy product that the integer (Kronecker) kernel replaced:
@@ -295,7 +314,7 @@ def reference_ps_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     for k in range(n + 1):
         out.append(sum((a.coeffs[i] * b.coeffs[k - i] for i in range(k + 1)),
                        Fraction(0)))
-    return PowerSeries(tuple(out))
+    return series(out)
 
 
 # Mixed-sign rationals; denominators up to 10^9, whose lcm is large; the zero
@@ -337,7 +356,7 @@ def reference_ps_inverse(a: PowerSeries) -> PowerSeries:
     for k in range(1, a.order + 1):
         acc = sum((a.coeffs[i] * out[k - i] for i in range(1, k + 1)), Fraction(0))
         out.append(-inv0 * acc)
-    return PowerSeries(tuple(out))
+    return series(out)
 
 
 def reference_ps_pow(a: PowerSeries, exponent) -> PowerSeries:
@@ -355,22 +374,22 @@ def reference_ps_pow(a: PowerSeries, exponent) -> PowerSeries:
         raise SeriesDomainError(
             f"power produces z^({shift}), not a nonnegative integer power"
         )
-    u = PowerSeries(a.coeffs[s:])
+    u = series(a.coeffs[s:])
     lead = fraction_pow(u.coeffs[0], e)
     # u^e = lead * sum_k C(e, k) w^k with w = u/u0 - 1 (valuation >= 1)
-    w = PowerSeries(tuple(
+    w = series(
         (c / u.coeffs[0] if k > 0 else Fraction(0)) for k, c in enumerate(u.coeffs)
-    ))
+    )
     acc = constant(lead, u.order)
     wpow = constant(1, u.order)
     for k in range(1, u.order + 1):
         wpow = reference_ps_mul(wpow, w)
-        term = PowerSeries(tuple(lead * binom(e, k) * c for c in wpow.coeffs))
+        term = series(lead * binom(e, k) * c for c in wpow.coeffs)
         acc = ps_add(acc, term)
     result = ps_monomial_shift(
-        PowerSeries(acc.coeffs + (Fraction(0),) * int(shift)), int(shift)
+        series(acc.coeffs + (Fraction(0),) * int(shift)), int(shift)
     )
-    return PowerSeries(result.coeffs[: min(a.order, acc.order + int(shift)) + 1])
+    return series(result.coeffs[: min(a.order, acc.order + int(shift)) + 1])
 
 
 def outcome(f, *args):
@@ -463,7 +482,7 @@ def reference_miller_pow(a: PowerSeries, exponent) -> PowerSeries:
                    for j in range(1, k + 1) if u[j]), Fraction(0))
         b.append(acc / (q * k * u[0]))
     zeros = (Fraction(0),) * min(shift, order + 1)
-    return PowerSeries((zeros + tuple(b))[: order + 1])
+    return series((zeros + tuple(b))[: order + 1])
 
 
 def assert_pow_matches_miller(a, e):
@@ -550,6 +569,80 @@ def test_inverse_matches_miller(case):
 
 def test_pow_of_z_squared_beyond_order():
     assert ps_pow(series([0, 1]), 2).coeffs == (0, 0)
+
+
+def test_huge_shifts_pad_at_most_order_plus_one_zeros():
+    # Padding with [0] * shift would raise MemoryError here, not hang.
+    assert ps_pow(series([0, 1, 0]), 10**15) == constant(0, 2)
+    assert ps_monomial_shift(series([1, 2]), 10**15) == constant(0, 1)
+
+
+# ------------------------------------------------------------ the stored form
+# A series is integer numerators over one denominator, reduced on
+# construction: den > 0 and gcd(den, *nums) == 1.
+
+def assert_reduced(a: PowerSeries):
+    assert all(type(x) is int for x in a.nums) and type(a.den) is int
+    assert a.den > 0 and math.gcd(a.den, *a.nums) == 1
+
+
+def test_constructor_reduces():
+    assert PowerSeries((2, 4), 6) == PowerSeries((1, 2), 3)
+    assert PowerSeries((2, 4), 6).nums == (1, 2)
+    a = PowerSeries((1, 3), -2)
+    assert (a.nums, a.den) == ((-1, -3), 2)
+    assert a.coeffs == (Fraction(-1, 2), Fraction(-3, 2))
+    assert PowerSeries([0, 0, 0], -7) == constant(0, 2)
+
+
+def test_constructor_rejects_empty_and_zero_denominator():
+    with pytest.raises(ValueError):
+        PowerSeries(())
+    with pytest.raises(ZeroDivisionError):
+        PowerSeries((1,), 0)
+
+
+@given(data=st.data(), a=mul_operands, b=mul_operands, m=small_rationals,
+       order=st.integers(0, 20), p=st.integers(0, 25), at_minus_z=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_every_result_is_reduced(data, a, b, m, order, p, at_minus_z):
+    assert_reduced(a)
+    assert_reduced(constant(m, order))
+    assert_reduced(identity_z(order))
+    assert_reduced(log_geometric(order))
+    assert_reduced(binomial_series(m, order, at_minus_z))
+    assert_reduced(ps_add(a, b))
+    assert_reduced(ps_sub(a, b))
+    assert_reduced(ps_sub(a, a))
+    assert_reduced(ps_mul(a, b))
+    assert_reduced(ps_monomial_shift(a, p))
+    base, e = data.draw(power_cases())
+    for out in (outcome(ps_pow, base, e), outcome(ps_div, a, b),
+                outcome(ps_div, ps_monomial_shift(a, p), base)):
+        if isinstance(out, PowerSeries):
+            assert_reduced(out)
+
+
+# --------------------------------------------- reference binomial series row
+# The Fraction ratio recurrence C(m, k) = C(m, k-1) * (m-k+1)/k that
+# binomial_series used before it became ps_pow of 1 +- z.
+
+def reference_binomial_series(m, order: int, at_minus_z: bool = False) -> PowerSeries:
+    m = Fraction(m)
+    sign = -1 if at_minus_z else 1
+    out = [Fraction(1)]
+    for k in range(1, order + 1):
+        out.append(out[-1] * (sign * (m - k + 1)) / k)
+    return series(out)
+
+
+@given(m=wide_rationals, order=st.integers(0, 100), at_minus_z=st.booleans())
+@example(m=Fraction(-10**6, 999_999), order=100, at_minus_z=True)
+@example(m=Fraction(10**6), order=0, at_minus_z=False)
+@settings(max_examples=80, deadline=None)
+def test_binomial_series_matches_ratio_recurrence(m, order, at_minus_z):
+    assert binomial_series(m, order, at_minus_z) == \
+        reference_binomial_series(m, order, at_minus_z)
 
 
 @pytest.mark.skipif(sys.implementation.name != "cpython",
