@@ -28,8 +28,8 @@ TABLE_CASES = {
     "cm4": -4,
 }
 
-# Retries of coeff evaluate at most this many orders above n.  This bounds
-# the work spent on a divisor that cancels to every order, such as
+# Without --order, coeff evaluates at most this many orders above n.  This
+# bounds the work spent on a divisor that cancels to every order, such as
 # (1+z)-1-z, while leaving room for divisions by z^v with v far above n.
 MAX_EXTRA_ORDERS = 64
 
@@ -60,16 +60,16 @@ def _int_grid(values: list[Fraction], flag: str) -> list[int]:
     return out
 
 
-def _evaluate_to(expr, n: int) -> PowerSeries:
-    """Evaluate expr at order n, and again at higher orders while that
-    falls short of z^n, up to order n + MAX_EXTRA_ORDERS.
+def _evaluate_to(expr, n: int, cap: int) -> PowerSeries:
+    """Evaluate expr at order n, and again at higher orders up to cap while
+    that falls short of z^n.
 
     Each division by z^v loses v orders, the same v at any order above v,
     so a short result is evaluated again with the shortfall added.  An
     operand that is zero to its order may have its leading term above it,
     so that error doubles the order.  Every other error is final.
     """
-    order, cap = n, n + MAX_EXTRA_ORDERS
+    order = n
     while True:
         try:
             result = evaluate(expr, order)
@@ -85,13 +85,10 @@ def _evaluate_to(expr, n: int) -> PowerSeries:
 
 def _cmd_coeff(args) -> int:
     expr = parse_text(args.expr)
-    if args.order is None:
-        result = _evaluate_to(expr, args.n)
-    elif args.order < args.n:
+    cap = args.n + MAX_EXTRA_ORDERS if args.order is None else args.order
+    if cap < args.n:
         raise ValueError(f"--order {args.order} is below --n {args.n}")
-    else:
-        result = evaluate(expr, args.order)
-    value = coefficient(result, args.n)
+    value = coefficient(_evaluate_to(expr, args.n, cap), args.n)
     if args.json:
         print(json.dumps({
             "expr": args.expr,
@@ -120,42 +117,37 @@ def _cmd_verify(args) -> int:
     ns = _int_grid(parse_grid(args.n), "--n")
     cs = _int_grid(parse_grid(args.c), "--c")
     if identity == "vandermonde":
-        ms = parse_grid(args.m) if args.m else [Fraction(0)]
+        ms = [Fraction(0)] if args.m is None else parse_grid(args.m)
         if any(c < 0 for c in cs):
             raise ValueError("vandermonde needs c >= 0")
         reports = identities.verify(identity, ms=ms, ns=ns, cs=cs)
     else:
-        if args.m:
+        if args.m is not None:
             raise ValueError(f"--m does not apply to {args.identity}")
         if identity == "log_closed" and any(c >= 1 for c in cs):
             raise ValueError("log-closed has no closed form for c >= 1")
         reports = identities.verify(identity, ns=ns, cs=cs)
+    reports = [_report_json(r) for r in reports]
     if args.json:
-        print(json.dumps([_report_json(r) for r in reports], indent=2))
+        print(json.dumps(reports, indent=2))
     else:
         for r in reports:
-            params = " ".join(
-                f"{k}={format_rational(v) if isinstance(v, Fraction) else v}"
-                for k, v in r.params.items()
-            )
-            routes = " ".join(
-                f"{k}={format_rational(v)}" for k, v in r.route_values.items()
-            )
-            status = "ok" if r.verdict else "FAIL"
-            print(f"{r.identity} {params}: {routes} {status}")
-    return 0 if all(r.verdict for r in reports) else 1
+            params = " ".join(f"{k}={v}" for k, v in r["params"].items())
+            routes = " ".join(f"{k}={v}" for k, v in r["routes"].items())
+            status = "ok" if r["verdict"] else "FAIL"
+            print(f"{r['identity']} {params}: {routes} {status}")
+    return 0 if all(r["verdict"] for r in reports) else 1
 
 
 def _cmd_table(args) -> int:
     c = TABLE_CASES[args.case]
     if args.n_max < 0:
         raise ValueError(f"--n-max must be >= 0, got {args.n_max}")
-    reports = identities.log_table(c, range(args.n_max + 1))
-    rows = []
-    for r in reports:
-        values = {k: format_rational(v) for k, v in r.route_values.items()}
-        rows.append({"n": r.params["n"], "lhs": values["lhs"],
-                     "rhs": values["rhs"], "closed": values.get("closed", "-")})
+    reports = [_report_json(r)
+               for r in identities.log_table(c, range(args.n_max + 1))]
+    rows = [{"n": r["params"]["n"], "lhs": r["routes"]["lhs"],
+             "rhs": r["routes"]["rhs"],
+             "closed": r["routes"].get("closed", "-")} for r in reports]
     if args.json:
         print(json.dumps(rows, indent=2))
     elif args.csv:
@@ -167,7 +159,7 @@ def _cmd_table(args) -> int:
         for row in rows:
             print(f"{row['n']:>4}  {row['lhs']:>16}  "
                   f"{row['rhs']:>16}  {row['closed']:>16}")
-    return 0 if all(r.verdict for r in reports) else 1
+    return 0 if all(r["verdict"] for r in reports) else 1
 
 
 @functools.cache
@@ -182,8 +174,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_coeff = sub.add_parser("coeff", help="coefficient of z^n in an expression")
     p_coeff.add_argument("expr")
-    p_coeff.add_argument("--n", type=int, required=True)
-    p_coeff.add_argument("--order", type=int, default=None)
+    p_coeff.add_argument("--n", type=int, required=True,
+                         help="print the coefficient of z^N")
+    p_coeff.add_argument("--order", type=int, default=None,
+                         help="highest order to evaluate at "
+                              f"(default: n + {MAX_EXTRA_ORDERS})")
     p_coeff.add_argument("--json", action="store_true")
 
     p_verify = sub.add_parser("verify", help="multi-route identity sweep")

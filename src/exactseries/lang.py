@@ -25,7 +25,6 @@ from typing import NamedTuple
 from .series import (
     PowerSeries,
     SeriesDomainError,
-    ZeroToOrderError,
     constant,
     identity_z,
     log_geometric,
@@ -34,7 +33,6 @@ from .series import (
     ps_mul,
     ps_pow,
     ps_sub,
-    valuation,
 )
 
 
@@ -251,7 +249,7 @@ def pretty(expr) -> str:
 
 # ---------------------------------------------------------------- evaluator
 
-_BINARY = {"+": ps_add, "-": ps_sub, "*": ps_mul, "/": ps_div}
+_OPS = {"+": ps_add, "-": ps_sub, "*": ps_mul, "/": ps_div, "^": ps_pow}
 
 
 def evaluate(expr, order: int) -> PowerSeries:
@@ -269,19 +267,12 @@ def _eval(expr, order: int) -> PowerSeries:
             return identity_z(order)
         case ("log",):
             return log_geometric(order)
-        case (("+" | "-" | "*" | "/") as op, l, r):
-            a, b = _eval(l, order), _eval(r, order)
+        case (op, left, right) if op in _OPS:
+            a = _eval(left, order)
+            # The right of ^ is its Fraction exponent, not a subtree.
+            b = right if op == "^" else _eval(right, order)
             try:
-                return _BINARY[op](a, b)
+                return _OPS[op](a, b)
             except SeriesDomainError as exc:
-                raise EvalError(f"in {pretty(expr)}: {exc}") from exc
-        case ("^", base, e):
-            b = _eval(base, order)
-            try:
-                return ps_pow(b, e)
-            except SeriesDomainError as exc:
-                if valuation(b) is None:
-                    # The base's leading term may lie above the order.
-                    exc = ZeroToOrderError(str(exc))
                 raise EvalError(f"in {pretty(expr)}: {exc}") from exc
     raise TypeError(f"not an expression node: {expr!r}")

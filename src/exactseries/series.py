@@ -171,8 +171,8 @@ class SeriesDomainError(ValueError):
 
 
 class ZeroToOrderError(SeriesDomainError):
-    """Raised when an operand is zero to its truncation order but the result
-    needs its leading term; the same operation at a higher order may succeed."""
+    """Raised by ps_div and ps_pow when an operand is zero to its order but
+    the result needs its leading term; a higher order may then succeed."""
 
 
 def ps_inverse(a: PowerSeries) -> PowerSeries:
@@ -267,7 +267,7 @@ def ps_pow(a: PowerSeries, exponent: Fraction | int) -> PowerSeries:
     if s is None:
         if e.denominator == 1 and e > 0:
             return constant(0, a.order)
-        raise SeriesDomainError("zero series cannot be raised to this power")
+        raise ZeroToOrderError("zero series cannot be raised to this power")
     shift = e * s
     if shift.denominator != 1 or shift < 0:
         raise SeriesDomainError(

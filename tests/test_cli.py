@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,9 +8,13 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from exactseries import cli
 from exactseries.cli import parse_grid, run
+from exactseries.lang import evaluate, parse_text
+from exactseries.rationals import format_rational
+from exactseries.series import coefficient
 from fractions import Fraction
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -65,6 +71,49 @@ def orders(monkeypatch):
         return evaluate(tree, order)
     monkeypatch.setattr(cli, "evaluate", recording_evaluate)
     return seen
+
+
+def reference_cmd_coeff(args) -> int:
+    """``coeff --order K`` as one evaluation at order K, kept as the oracle
+    for K as the cap of the retry loop: where the loop stops below K, it
+    must print what order K gives."""
+    expr = parse_text(args.expr)
+    if args.order < args.n:
+        raise ValueError(f"--order {args.order} is below --n {args.n}")
+    value = coefficient(evaluate(expr, args.order), args.n)
+    if args.json:
+        print(json.dumps({
+            "expr": args.expr,
+            "n": args.n,
+            "coefficient": format_rational(value),
+        }))
+    else:
+        print(format_rational(value))
+    return 0
+
+
+def outputs(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# Random expression trees, fully parenthesized.  The atoms include divisors
+# and bases that are zero to some or every order; the exponents stay small,
+# so no power reaches MAX_POWER_BITS.
+expressions = st.recursive(
+    st.sampled_from(["1", "2", "z", "log(1/(1-z))", "(z-z)", "z^10",
+                     "((1+z)-1-z)"]),
+    lambda children: st.one_of(
+        st.builds("({}{}{})".format, children, st.sampled_from("+-*/"),
+                  children),
+        st.builds("({})^{}".format, children,
+                  st.sampled_from(["2", "(-1)", "(1/2)", "(-3/2)"])),
+    ),
+    max_leaves=8,
+)
 
 
 class TestParseGrid:
@@ -173,6 +222,42 @@ class TestCoeff:
         assert run(["coeff", "z^10/z^10", "--n", "5", "--order", "13"]) == 2
         err = capsys.readouterr().err
         assert err == "error: coefficient 5 outside truncation range 0..3\n"
+
+    def test_order_caps_the_retry_loop(self, orders, capsys):
+        assert run(["coeff", "z^10/z^10", "--n", "5", "--order", "40"]) == 0
+        assert capsys.readouterr().out == "0\n"
+        assert orders == [5, 11, 15]
+
+    def test_high_order_is_not_evaluated_when_n_suffices(self, orders, capsys):
+        assert run(["coeff", "z", "--n", "1", "--order", "1000000"]) == 0
+        assert capsys.readouterr().out == "1\n"
+        assert orders == [1]
+
+    def test_power_over_bit_limit_above_the_order_needed(self, capsys):
+        # (3z^10)^99999999 is zero to order 5, so its z^5 coefficient is 0;
+        # at order 40 its leading coefficient would be over the bit limit.
+        assert run(["coeff", "(3*z^10)^99999999", "--n", "5",
+                    "--order", "40"]) == 0
+        assert capsys.readouterr().out == "0\n"
+
+    @pytest.mark.parametrize("order", [[], ["--order", "5"]])
+    def test_negative_n_exits_2(self, order, capsys):
+        assert run(["coeff", "1/(1-z)", "--n", "-3"] + order) == 2
+        assert capsys.readouterr().err == "error: order must be >= 0, got -3\n"
+
+    @given(expr=expressions, n=st.integers(0, 12), extra=st.integers(0, 40),
+           as_json=st.booleans())
+    @example(expr="(z^10/z^10)", n=5, extra=8, as_json=False)
+    @example(expr="(1/((1+z)-1-z))", n=3, extra=40, as_json=True)
+    @settings(max_examples=100, deadline=None)
+    def test_order_gives_what_one_evaluation_at_it_gives(self, expr, n, extra,
+                                                         as_json):
+        argv = ["coeff", expr, "--n", str(n), "--order", str(n + extra)]
+        argv += ["--json"] if as_json else []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_cmd_coeff", reference_cmd_coeff)
+            expected = outputs(argv)
+        assert outputs(argv) == expected
 
     def test_explicit_order_reaches_past_the_cap(self, capsys):
         # z^100 is zero to every order up to n + MAX_EXTRA_ORDERS.
@@ -325,6 +410,13 @@ class TestVerifyCommand:
     def test_m_on_log_identity_rejected(self):
         assert run(["verify", "log-dual", "--m", "1",
                     "--n", "0..3", "--c", "0"]) == 2
+
+    @pytest.mark.parametrize("identity", ["vandermonde", "log-dual"])
+    def test_empty_m_exits_2(self, identity, capsys):
+        assert run(["verify", identity, "--m", "", "--n", "0", "--c", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_zero_denominator_m_exits_2(self, capsys):
         assert run(["verify", "vandermonde", "--m", "1/0",

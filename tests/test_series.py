@@ -234,6 +234,12 @@ class TestDivisionAndPowers:
         with pytest.raises(ZeroToOrderError):
             ps_div(constant(0, 2), series([0, 0, 0, 1, 0, 0, 0, 0]))
 
+    def test_pow_and_inverse_of_series_zero_to_its_order(self):
+        with pytest.raises(ZeroToOrderError):
+            ps_pow(constant(0, 4), Fraction(1, 2))
+        with pytest.raises(ZeroToOrderError):
+            ps_inverse(constant(0, 4))
+
     def test_div_negative_powers_is_not_an_order_error(self):
         with pytest.raises(SeriesDomainError) as info:
             ps_div(series([0, 1, 0]), series([0, 0, 1]))
@@ -349,6 +355,8 @@ def test_mul_matches_reference(a, b):
 # O(n^3), so they run only at small orders, as oracles for the new kernel.
 
 def reference_ps_inverse(a: PowerSeries) -> PowerSeries:
+    if not any(a.coeffs):
+        raise ZeroToOrderError("cannot invert a series that is zero to its order")
     if a.coeffs[0] == 0:
         raise SeriesDomainError("cannot invert a series with zero constant term")
     inv0 = 1 / a.coeffs[0]
@@ -368,7 +376,7 @@ def reference_ps_pow(a: PowerSeries, exponent) -> PowerSeries:
         return out
     s = valuation(a)
     if s is None:
-        raise SeriesDomainError("zero series cannot be raised to this power")
+        raise ZeroToOrderError("zero series cannot be raised to this power")
     shift = e * s
     if shift.denominator != 1 or shift < 0:
         raise SeriesDomainError(
@@ -466,7 +474,7 @@ def reference_miller_pow(a: PowerSeries, exponent) -> PowerSeries:
     if s is None:
         if e.denominator == 1 and e > 0:
             return constant(0, a.order)
-        raise SeriesDomainError("zero series cannot be raised to this power")
+        raise ZeroToOrderError("zero series cannot be raised to this power")
     shift = e * s
     if shift.denominator != 1 or shift < 0:
         raise SeriesDomainError(
