@@ -85,6 +85,8 @@ def _evaluate_to(expr, n: int, cap: int) -> PowerSeries:
 
 def _cmd_coeff(args) -> int:
     expr = parse_text(args.expr)
+    if args.n < 0:
+        raise ValueError(f"--n must be >= 0, got {args.n}")
     cap = args.n + MAX_EXTRA_ORDERS if args.order is None else args.order
     if cap < args.n:
         raise ValueError(f"--order {args.order} is below --n {args.n}")

@@ -29,6 +29,7 @@ from .series import (
     identity_z,
     log_geometric,
     ps_add,
+    ps_affine,
     ps_div,
     ps_mul,
     ps_pow,
@@ -237,7 +238,8 @@ def pretty(expr) -> str:
             return f"({pretty(l)} {op} {pretty(r)})"
         case ("^", base, e):
             bs = pretty(base)
-            if not (bs.startswith("(") or base[0] in ("lit", "z", "log")):
+            if base[0] == "^" or not (bs.startswith("(")
+                                      or base[0] in ("lit", "z", "log")):
                 bs = f"({bs})"
             if e.denominator == 1 and e >= 0:
                 return f"{bs}^{e.numerator}"
@@ -249,20 +251,32 @@ def pretty(expr) -> str:
 
 # ---------------------------------------------------------------- evaluator
 
-_OPS = {"+": ps_add, "-": ps_sub, "*": ps_mul, "/": ps_div, "^": ps_pow}
+# The series operator of each binary node, looked up by name when it is
+# applied, so that a rebound module global (a wrapper, a test double) is the
+# one called.
+_OPS = {"+": "ps_add", "-": "ps_sub", "*": "ps_mul", "/": "ps_div",
+        "^": "ps_pow"}
 
 
 def evaluate(expr, order: int) -> PowerSeries:
     """Expand an expression into a truncated series of the given order."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    return _eval(expr, order)
+    value = _eval(expr, order)
+    return constant(value, order) if isinstance(value, Fraction) else value
 
 
-def _eval(expr, order: int) -> PowerSeries:
+def _eval(expr, order: int) -> PowerSeries | Fraction:
+    """The series of expr, or its Fraction value when it has no z.
+
+    + - * of two Fractions is a Fraction, and with one Fraction operand they
+    scale or shift the series operand, as does / by a nonzero Fraction.  ^,
+    / by zero and / of two Fractions build a constant series and take the
+    series operator, so they raise and retry as any series operand would.
+    """
     match expr:
         case ("lit", value):
-            return constant(value, order)
+            return value
         case ("z",):
             return identity_z(order)
         case ("log",):
@@ -271,8 +285,33 @@ def _eval(expr, order: int) -> PowerSeries:
             a = _eval(left, order)
             # The right of ^ is its Fraction exponent, not a subtree.
             b = right if op == "^" else _eval(right, order)
+            match op, a, b:
+                case "+", Fraction(), Fraction():
+                    return a + b
+                case "-", Fraction(), Fraction():
+                    return a - b
+                case "*", Fraction(), Fraction():
+                    return a * b
+                case "+", Fraction(), _:
+                    return ps_affine(b, 1, a)
+                case "-", Fraction(), _:
+                    return ps_affine(b, -1, a)
+                case "*", Fraction(), _:
+                    return ps_affine(b, a, 0)
+                case "+", _, Fraction():
+                    return ps_affine(a, 1, b)
+                case "-", _, Fraction():
+                    return ps_affine(a, 1, -b)
+                case "*", _, Fraction():
+                    return ps_affine(a, b, 0)
+                case "/", PowerSeries(), Fraction() if b:
+                    return ps_affine(a, 1 / b, 0)
+            if isinstance(a, Fraction):
+                a = constant(a, order)
+            if op != "^" and isinstance(b, Fraction):
+                b = constant(b, order)
             try:
-                return _OPS[op](a, b)
+                return globals()[_OPS[op]](a, b)
             except SeriesDomainError as exc:
                 raise EvalError(f"in {pretty(expr)}: {exc}") from exc
     raise TypeError(f"not an expression node: {expr!r}")

@@ -84,6 +84,17 @@ def ps_sub(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     return ps_add(a, PowerSeries([-y for y in b.nums], b.den))
 
 
+def ps_affine(a: PowerSeries, m: Fraction | int, c: Fraction | int) -> PowerSeries:
+    """m*a + c for rationals m and c: every coefficient scaled by m, and c
+    added to the z^0 coefficient.  The order is a's."""
+    mden = a.den * m.denominator
+    den = math.lcm(mden, c.denominator)
+    factor = m.numerator * (den // mden)
+    nums = [x * factor for x in a.nums]
+    nums[0] += c.numerator * (den // c.denominator)
+    return PowerSeries(nums, den)
+
+
 def ps_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     """Cauchy product truncated at the smaller order.
 
@@ -229,18 +240,31 @@ def fraction_pow(base: Fraction, exponent: Fraction) -> Fraction:
     """base**exponent for a nonzero base when the result is rational;
     otherwise an error.  A result above about MAX_POWER_BITS bits is an
     error too, raised before any of it is computed."""
-    height = max(abs(base.numerator), base.denominator)
-    bits = abs(exponent) * (height.bit_length() - 1)
-    if bits > MAX_POWER_BITS:
-        raise SeriesDomainError(f"{base}^{exponent} has about {int(bits)} bits, "
-                                f"over the limit of {MAX_POWER_BITS}")
-    num = _int_nth_root(base.numerator, exponent.denominator)
-    den = _int_nth_root(base.denominator, exponent.denominator)
-    if num is None or den is None:
+    return Fraction(*_rational_pow(base.numerator, base.denominator,
+                                   exponent.numerator, exponent.denominator))
+
+
+def _rational_pow(num: int, den: int, en: int, ed: int) -> tuple[int, int]:
+    """fraction_pow on integers: (num/den)^(en/ed) for num != 0 < den and
+    ed > 0, as a reduced numerator and a positive denominator."""
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    # |e| * (h - 1) > MAX_POWER_BITS for h the height's bit length, times ed.
+    bits = abs(en) * (max(abs(num), den).bit_length() - 1)
+    if bits > MAX_POWER_BITS * ed:
         raise SeriesDomainError(
-            f"{base}^{exponent} is not rational; only exact powers are supported"
-        )
-    return Fraction(num, den) ** exponent.numerator
+            f"{Fraction(num, den)}^{Fraction(en, ed)} has about {bits // ed} "
+            f"bits, over the limit of {MAX_POWER_BITS}")
+    if ed != 1:
+        rn, rd = _int_nth_root(num, ed), _int_nth_root(den, ed)
+        if rn is None or rd is None:
+            raise SeriesDomainError(
+                f"{Fraction(num, den)}^{Fraction(en, ed)} is not rational; "
+                "only exact powers are supported")
+        num, den = rn, rd
+    if en < 0:
+        num, den, en = (-den, -num, -en) if num < 0 else (den, num, -en)
+    return num**en, den**en
 
 
 def ps_pow(a: PowerSeries, exponent: Fraction | int) -> PowerSeries:
@@ -260,30 +284,29 @@ def ps_pow(a: PowerSeries, exponent: Fraction | int) -> PowerSeries:
     so step k is one integer sum and one gcd.  Each reduced step c_k is kept
     too, and all are scaled to the final ``lcd`` once, at the end.
     """
-    e = Fraction(exponent)
-    if e == 0:
+    en, ed = Fraction(exponent).as_integer_ratio()
+    if en == 0:
         return constant(1, a.order)
     s = valuation(a)
     if s is None:
-        if e.denominator == 1 and e > 0:
+        if ed == 1 and en > 0:
             return constant(0, a.order)
         raise ZeroToOrderError("zero series cannot be raised to this power")
-    shift = e * s
-    if shift.denominator != 1 or shift < 0:
-        raise SeriesDomainError(
-            f"power produces z^({shift}), not a nonnegative integer power"
-        )
-    shift = int(shift)
+    shift, rest = divmod(en * s, ed)
+    if rest or shift < 0:
+        raise SeriesDomainError(f"power produces z^({Fraction(en * s, ed)}), "
+                                "not a nonnegative integer power")
     us = a.nums[s:]
     order = min(a.order, len(us) - 1 + shift)
-    p, q = (e + 1).as_integer_ratio()
-    b0 = fraction_pow(Fraction(us[0], a.den), e)
+    p, q = en + ed, ed
+    b0n, b0d = _rational_pow(us[0], a.den, en, ed)
     terms = [(j, uj) for j, uj in enumerate(us) if j and uj]
     # Step k reads cs[k - j] only for 1 <= j <= reach, so when lcd grows only
-    # the last ``reach`` entries of cs still need rescaling.
+    # the last ``reach`` entries of cs still need rescaling.  A monomial u
+    # has no terms, every c_k is 0, and no step runs.
     reach = terms[-1][0] if terms else 0
     cs, lcd, steps = [1], 1, [(1, 1)]
-    for k in range(1, order - shift + 1):
+    for k in range(1, order - shift + 1 if terms else 1):
         qk = q * k
         acc = sum((p * j - qk) * uj * cs[k - j] for j, uj in terms if j <= k)
         den = lcd * qk * us[0]
@@ -298,6 +321,7 @@ def ps_pow(a: PowerSeries, exponent: Fraction | int) -> PowerSeries:
             lo = max(0, k + 1 - reach)
             cs[lo:] = [x * scale for x in cs[lo:]]
         cs.append(num * (lcd // den))
-    zeros = [0] * min(shift, order + 1)
-    nums = [b0.numerator * num * (lcd // den) for num, den in steps]
-    return PowerSeries((zeros + nums)[: order + 1], b0.denominator * lcd)
+    nums = [0] * min(shift, order + 1)
+    nums += [b0n * num * (lcd // den) for num, den in steps]
+    nums += [0] * (order + 1 - len(nums))
+    return PowerSeries(nums[: order + 1], b0d * lcd)

@@ -12,9 +12,20 @@ from hypothesis import example, given, settings, strategies as st
 
 from exactseries import cli
 from exactseries.cli import parse_grid, run
-from exactseries.lang import evaluate, parse_text
+from exactseries.lang import EvalError, evaluate, parse_text, pretty
 from exactseries.rationals import format_rational
-from exactseries.series import coefficient
+from exactseries.series import (
+    SeriesDomainError,
+    coefficient,
+    constant,
+    identity_z,
+    log_geometric,
+    ps_add,
+    ps_div,
+    ps_mul,
+    ps_pow,
+    ps_sub,
+)
 from fractions import Fraction
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -92,6 +103,33 @@ def reference_cmd_coeff(args) -> int:
     return 0
 
 
+REFERENCE_OPS = {"+": ps_add, "-": ps_sub, "*": ps_mul, "/": ps_div,
+                 "^": ps_pow}
+
+
+def reference_evaluate(expr, order: int):
+    """``lang.evaluate`` as it was before z-free subtrees became Fractions:
+    every literal a constant series and every node its series operator,
+    kept as the oracle for the scalar shortcuts."""
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    match expr:
+        case ("lit", value):
+            return constant(value, order)
+        case ("z",):
+            return identity_z(order)
+        case ("log",):
+            return log_geometric(order)
+        case (op, left, right) if op in REFERENCE_OPS:
+            a = reference_evaluate(left, order)
+            b = right if op == "^" else reference_evaluate(right, order)
+            try:
+                return REFERENCE_OPS[op](a, b)
+            except SeriesDomainError as exc:
+                raise EvalError(f"in {pretty(expr)}: {exc}") from exc
+    raise TypeError(f"not an expression node: {expr!r}")
+
+
 def outputs(argv: list[str]) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of one in-process run."""
     out, err = io.StringIO(), io.StringIO()
@@ -114,6 +152,47 @@ expressions = st.recursive(
     ),
     max_leaves=8,
 )
+
+# The same shapes with z-free atoms: zero, a ratio, a negative literal, and a
+# z power with a constant factor, so that scalars meet every operator,
+# including division by zero and powers of numbers.
+scalar_expressions = st.recursive(
+    st.sampled_from(["0", "1", "2", "(1/2)", "(-3)", "z", "(2*z)", "z^3",
+                     "(z-z)", "log(1/(1-z))", "((1+z)-1-z)"]),
+    lambda children: st.one_of(
+        st.builds("({}{}{})".format, children, st.sampled_from("+-*/"),
+                  children),
+        st.builds("({})^{}".format, children,
+                  st.sampled_from(["2", "(-1)", "(1/2)", "(-3/2)"])),
+    ),
+    max_leaves=8,
+)
+
+
+@given(expr=st.one_of(expressions, scalar_expressions))
+@example(expr="((z-z)^2)^(1/2)")
+@settings(max_examples=200)
+def test_pretty_round_trips_random_trees(expr):
+    tree = parse_text(expr)
+    assert parse_text(pretty(tree)) == tree
+
+
+@given(expr=scalar_expressions, n=st.integers(0, 12),
+       extra=st.none() | st.integers(0, 40), as_json=st.booleans())
+@example(expr="(1-(1-(4*z))^(1/2))/(2*z)", n=5, extra=None, as_json=False)
+@example(expr="(z/(1-1))", n=2, extra=None, as_json=False)
+@example(expr="((1/2)^(1/2))", n=0, extra=3, as_json=True)
+@example(expr="(((-3)^(-1))-z)", n=0, extra=None, as_json=False)
+@settings(max_examples=300, deadline=None)
+def test_scalar_subtrees_print_what_constant_series_print(expr, n, extra,
+                                                         as_json):
+    argv = ["coeff", expr, "--n", str(n)]
+    argv += [] if extra is None else ["--order", str(n + extra)]
+    argv += ["--json"] if as_json else []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "evaluate", reference_evaluate)
+        expected = outputs(argv)
+    assert outputs(argv) == expected
 
 
 class TestParseGrid:
@@ -243,7 +322,7 @@ class TestCoeff:
     @pytest.mark.parametrize("order", [[], ["--order", "5"]])
     def test_negative_n_exits_2(self, order, capsys):
         assert run(["coeff", "1/(1-z)", "--n", "-3"] + order) == 2
-        assert capsys.readouterr().err == "error: order must be >= 0, got -3\n"
+        assert capsys.readouterr().err == "error: --n must be >= 0, got -3\n"
 
     @given(expr=expressions, n=st.integers(0, 12), extra=st.integers(0, 40),
            as_json=st.booleans())

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from exactseries import lang
 from exactseries.lang import (
     EvalError,
     LexError,
@@ -12,7 +13,13 @@ from exactseries.lang import (
     pretty,
     tokenize,
 )
-from exactseries.series import coefficient, lemma_coefficient
+from exactseries.series import (
+    coefficient,
+    constant,
+    identity_z,
+    lemma_coefficient,
+    ps_affine,
+)
 
 
 class TestTokenize:
@@ -151,6 +158,12 @@ def test_pretty_round_trip(text):
     assert parse_text(pretty(expr)) == expr
 
 
+def test_pretty_parenthesizes_a_power_of_a_power():
+    expr = parse_text("((z-z)^2)^(1/2)")
+    assert pretty(expr) == "((z - z)^2)^(1/2)"
+    assert parse_text(pretty(expr)) == expr
+
+
 @pytest.mark.parametrize("node", [("%", ("z",), ("z",)), None])
 def test_non_node_is_a_type_error(node):
     with pytest.raises(TypeError):
@@ -201,3 +214,56 @@ class TestEvaluate:
                 ), 24)
                 assert left.coeffs[: left.order + 1] == \
                     right.coeffs[: left.order + 1]
+
+
+@pytest.mark.parametrize("text, name", [
+    ("z+log(1/(1-z))", "ps_add"),
+    ("z-z", "ps_sub"),
+    ("z*z", "ps_mul"),
+    ("z/(1-z)", "ps_div"),
+    ("(1+z)^(1/2)", "ps_pow"),
+])
+def test_evaluate_calls_the_operator_the_module_binds(monkeypatch, text, name):
+    """A rebound operator, such as a tracing wrapper, is the one called."""
+    calls = []
+    original = getattr(lang, name)
+
+    def recording(a, b):
+        calls.append(b)
+        return original(a, b)
+    monkeypatch.setattr(lang, name, recording)
+    expected = evaluate(parse_text(text), 6)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    assert evaluate(parse_text(text), 6) == expected
+
+
+class TestZFreeSubtrees:
+    @pytest.mark.parametrize("text, value", [
+        ("2*3-1", 5), ("1/2", Fraction(1, 2)), ("-(4-4)", 0),
+        ("2^(-1)", Fraction(1, 2)),
+    ])
+    def test_value_is_a_constant_series_at_the_order(self, text, value):
+        assert evaluate(parse_text(text), 5) == constant(value, 5)
+
+    @pytest.mark.parametrize("text, m, c", [
+        ("3-z", -1, 3), ("z-3", 1, -3), ("2*z", 2, 0), ("z*2", 2, 0),
+        ("z/(1+1)", Fraction(1, 2), 0), ("-z", -1, 0), ("1+z+2", 1, 3),
+    ])
+    def test_scalar_operand_scales_or_shifts(self, monkeypatch, text, m, c):
+        for name in ("ps_add", "ps_sub", "ps_mul", "ps_div"):
+            monkeypatch.setattr(lang, name, None)
+        assert evaluate(parse_text(text), 5) == ps_affine(identity_z(5), m, c)
+
+    def test_divisor_over_the_power_bit_limit_scales(self):
+        # 5 * 13 288 bits is over MAX_POWER_BITS, which bounds ps_inverse;
+        # scaling by 1/c has no such limit.
+        c = "9" * 4000
+        expr = parse_text(f"z/({c}*{c}*{c}*{c}*{c})")
+        assert evaluate(expr, 2) == ps_affine(
+            identity_z(2), Fraction(1, int(c) ** 5), 0)
+
+    @pytest.mark.parametrize("text", ["z/0", "z/(1-1)", "z/(0*2)"])
+    def test_zero_divisor_is_a_series_error(self, text):
+        with pytest.raises(EvalError, match="zero to its order"):
+            evaluate(parse_text(text), 5)

@@ -13,6 +13,7 @@ from exactseries.series import (
     PowerSeries,
     SeriesDomainError,
     ZeroToOrderError,
+    _int_nth_root,
     binomial_series,
     coefficient,
     constant,
@@ -21,6 +22,7 @@ from exactseries.series import (
     lemma_coefficient,
     log_geometric,
     ps_add,
+    ps_affine,
     ps_div,
     ps_inverse,
     ps_monomial_shift,
@@ -680,3 +682,101 @@ def test_series_ops_leave_allocated_blocks_flat():
     finally:
         gc.enable()
     assert grown < 2000
+
+
+# ------------------------------------------------- reference fraction_pow
+# fraction_pow as it was on Fractions, before the exponent and the bit limit
+# moved to integers: the oracle for that arithmetic, its errors and their
+# messages.  Only the integer root is shared with the kernel.
+
+def reference_fraction_pow(base: Fraction, exponent: Fraction) -> Fraction:
+    height = max(abs(base.numerator), base.denominator)
+    bits = abs(exponent) * (height.bit_length() - 1)
+    if bits > MAX_POWER_BITS:
+        raise SeriesDomainError(f"{base}^{exponent} has about {int(bits)} bits, "
+                                f"over the limit of {MAX_POWER_BITS}")
+    num = _int_nth_root(base.numerator, exponent.denominator)
+    den = _int_nth_root(base.denominator, exponent.denominator)
+    if num is None or den is None:
+        raise SeriesDomainError(
+            f"{base}^{exponent} is not rational; only exact powers are supported"
+        )
+    return Fraction(num, den) ** exponent.numerator
+
+
+def outcome_with_message(f, *args):
+    """The value of f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def fraction_pow_cases(draw):
+    """(base, exponent): the base is often an exact root's power, negative
+    with odd roots too, and |exponent| is small or within two of the bit
+    limit on either side."""
+    d = draw(st.integers(1, 6))
+    base = draw(nonzero_rationals)
+    if draw(st.booleans()):
+        base = base**d
+    height_bits = max(abs(base.numerator), base.denominator).bit_length() - 1
+    if height_bits and draw(st.booleans()):
+        en = MAX_POWER_BITS * d // height_bits + draw(st.integers(-2, 2))
+    else:
+        en = draw(st.integers(0, 12))
+    return base, Fraction(draw(st.sampled_from([1, -1])) * en, d)
+
+
+@given(case=fraction_pow_cases())
+@example(case=(Fraction(-8, 27), Fraction(-1, 3)))
+@example(case=(Fraction(-32, 243), Fraction(-3, 5)))
+@example(case=(Fraction(-4), Fraction(1, 2)))
+@example(case=(Fraction(3), Fraction(MAX_POWER_BITS)))
+@example(case=(Fraction(2), Fraction(-MAX_POWER_BITS - 1)))
+@example(case=(Fraction(4, 9), Fraction(2 * MAX_POWER_BITS + 1, 2)))
+@settings(max_examples=200, deadline=None)
+def test_fraction_pow_matches_reference(case):
+    expected = outcome_with_message(reference_fraction_pow, *case)
+    assert outcome_with_message(fraction_pow, *case) == expected
+
+
+# ------------------------------------------------------- monomial bases
+# A base c*z^s has no term past its lead, so ps_pow runs no Miller step.
+
+@given(lead=nonzero_rationals, s=st.integers(0, 5), e=any_exponent,
+       extra=st.integers(0, 15))
+@example(lead=Fraction(2), s=0, e=Fraction(-1), extra=11)
+@example(lead=Fraction(1), s=3, e=Fraction(3), extra=9)
+@example(lead=Fraction(4), s=2, e=Fraction(5, 2), extra=2)
+@example(lead=Fraction(-27, 8), s=3, e=Fraction(-1, 3), extra=0)
+@settings(max_examples=200, deadline=None)
+def test_pow_of_monomial_matches_miller(lead, s, e, extra):
+    """c * z^s to a rational power at order s + extra; e*s may be negative,
+    not an integer, or above the order."""
+    lead = lead**e.denominator
+    a = series([0] * s + [lead] + [0] * extra)
+    assert_pow_matches_miller(a, e)
+
+
+def test_pow_of_monomial_pads_with_zeros():
+    assert ps_pow(series([0, 0, 4, 0, 0, 0]), Fraction(3, 2)) == \
+        series([0, 0, 0, 8, 0, 0])
+    assert ps_pow(series([0, 0, 4, 0]), Fraction(5, 2)) == constant(0, 3)
+    assert ps_pow(series([0, 0, 4, 0]), 2) == constant(0, 3)
+
+
+# ----------------------------------------------------- scaling and shifting
+
+@given(a=random_series, m=small_rationals, c=small_rationals)
+def test_affine_matches_constant_series_ops(a, m, c):
+    out = ps_affine(a, m, c)
+    assert_reduced(out)
+    assert out == ps_add(ps_mul(constant(m, a.order), a), constant(c, a.order))
+
+
+def test_affine_takes_integer_factors():
+    a = series([Fraction(1, 2), 3, Fraction(-5, 6)])
+    assert ps_affine(a, -1, 1) == series([Fraction(1, 2), -3, Fraction(5, 6)])
+    assert ps_affine(a, 0, Fraction(2, 3)) == constant(Fraction(2, 3), 2)
