@@ -12,6 +12,8 @@ drop out-of-range terms silently.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -66,7 +68,13 @@ def complement(sym: BinomialSymbol) -> BinomialSymbol:
 
 
 def harmonic(n: int) -> Fraction:
-    """Exact harmonic number 1 + 1/2 + ... + 1/n; harmonic(0) = 0."""
+    """Exact harmonic number 1 + 1/2 + ... + 1/n; harmonic(0) = 0.
+
+    The terms are summed as integer numerators L/k over L = lcm(1..n), and
+    the one Fraction is built at the end.
+    """
     if n < 0:
         raise ValueError(f"harmonic number needs n >= 0, got {n}")
-    return sum((Fraction(1, k) for k in range(1, n + 1)), Fraction(0))
+    ks = range(1, n + 1)
+    lcd = functools.reduce(math.lcm, ks, 1)
+    return Fraction(sum([lcd // k for k in ks]), lcd)

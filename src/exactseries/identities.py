@@ -10,6 +10,7 @@ terms look small.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -66,16 +67,20 @@ def log_lhs(n: int, c: int) -> Fraction:
 
     Only terms with 0 <= c+k <= n survive, so the sum is finite.  The row
     C(n, c+k) is rolled forward in integers with
-    C(n, j+1) = C(n, j) * (n-j) / (j+1).
+    C(n, j+1) = C(n, j) * (n-j) / (j+1), and each term is added as an
+    integer numerator over L, the lcm of the surviving k; the one Fraction
+    is built at the end.
     """
     _check_n(n)
     k0 = max(1, -c)
-    total = Fraction(0)
+    ks = range(k0, n - c + 1)
+    lcd = functools.reduce(math.lcm, ks, 1)
+    total = 0
     row = math.comb(n, c + k0)
-    for k in range(k0, n - c + 1):
-        total += Fraction(row if k % 2 == 1 else -row, k)
+    for k in ks:
+        total += (row if k % 2 == 1 else -row) * (lcd // k)
         row = row * (n - c - k) // (c + k + 1)
-    return total
+    return Fraction(total, lcd)
 
 
 def log_rhs(n: int, c: int) -> Fraction:
@@ -87,19 +92,28 @@ def log_rhs(n: int, c: int) -> Fraction:
     C(N, c); that row is rolled downward in integers with
     C(N, c) = C(N+1, c) * (N+1-c) / (N+1).  For c < 0 a term with N >= 0
     has lower index N-c > N and vanishes, so only the -c terms with N < 0
-    are computed.
+    survive; for those, reflection gives C(N, j) = (-1)^j C(-c-1, j) with
+    j = N-c.  Each term is added as an integer numerator over L, the lcm of
+    the surviving lam, and the one Fraction is built at the end.
     """
     _check_n(n)
-    total = Fraction(0)
     if c < 0:
-        for lam in range(n + 1, n - c + 1):
-            total += Fraction(1, lam) * binom(n - lam, n - lam - c)
-        return total
+        lams = range(n + 1, n - c + 1)
+        lcd = functools.reduce(math.lcm, lams, 1)
+        total = 0
+        for lam in lams:
+            j = n - lam - c
+            term = math.comb(-c - 1, j) * (lcd // lam)
+            total += -term if j % 2 else term
+        return Fraction(total, lcd)
+    lams = range(1, n - c + 1)
+    lcd = functools.reduce(math.lcm, lams, 1)
+    total = 0
     row = math.comb(n, c)
-    for lam in range(1, n - c + 1):
+    for lam in lams:
         row = row * (n - lam + 1 - c) // (n - lam + 1)
-        total += Fraction(row, lam)
-    return total
+        total += row * (lcd // lam)
+    return Fraction(total, lcd)
 
 
 def log_closed(n: int, c: int) -> Fraction:

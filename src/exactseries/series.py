@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .binomial import binom
+from .rationals import format_rational
 
 
 @dataclass(frozen=True)
@@ -250,21 +251,28 @@ def _rational_pow(num: int, den: int, en: int, ed: int) -> tuple[int, int]:
     g = math.gcd(num, den)
     num, den = num // g, den // g
     # |e| * (h - 1) > MAX_POWER_BITS for h the height's bit length, times ed.
+    # With |e| <= 1 the result is no larger than the base, which exists.
     bits = abs(en) * (max(abs(num), den).bit_length() - 1)
-    if bits > MAX_POWER_BITS * ed:
+    if abs(en) > ed and bits > MAX_POWER_BITS * ed:
         raise SeriesDomainError(
-            f"{Fraction(num, den)}^{Fraction(en, ed)} has about {bits // ed} "
+            f"{_power_text(num, den, en, ed)} has about {bits // ed} "
             f"bits, over the limit of {MAX_POWER_BITS}")
     if ed != 1:
         rn, rd = _int_nth_root(num, ed), _int_nth_root(den, ed)
         if rn is None or rd is None:
             raise SeriesDomainError(
-                f"{Fraction(num, den)}^{Fraction(en, ed)} is not rational; "
+                f"{_power_text(num, den, en, ed)} is not rational; "
                 "only exact powers are supported")
         num, den = rn, rd
     if en < 0:
         num, den, en = (-den, -num, -en) if num < 0 else (den, num, -en)
     return num**en, den**en
+
+
+def _power_text(num: int, den: int, en: int, ed: int) -> str:
+    # format_rational, not str(): a base may be past the int-to-str limit.
+    base, exponent = Fraction(num, den), Fraction(en, ed)
+    return f"{format_rational(base)}^{format_rational(exponent)}"
 
 
 def ps_pow(a: PowerSeries, exponent: Fraction | int) -> PowerSeries:

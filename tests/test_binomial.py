@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from exactseries.binomial import (
     BinomialSymbol,
@@ -105,3 +105,18 @@ class TestHarmonic:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             harmonic(-1)
+
+
+def reference_harmonic(n: int) -> Fraction:
+    # harmonic as it was before the one common denominator: one reduced
+    # Fraction added per term.
+    return sum((Fraction(1, k) for k in range(1, n + 1)), Fraction(0))
+
+
+@given(n=st.integers(0, 300))
+@example(n=0)
+@example(n=94)
+@example(n=300)
+@settings(deadline=None)
+def test_harmonic_matches_reference(n):
+    assert harmonic(n) == reference_harmonic(n)

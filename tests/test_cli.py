@@ -257,6 +257,19 @@ class TestCoeff:
         assert err.startswith("error:") and "over the limit" in err
         assert err.count("\n") == 1
 
+    def test_z_free_power_no_larger_than_its_base(self, capsys):
+        # c^5 is over MAX_POWER_BITS; its reciprocal is printed as the
+        # quotient is, and squaring it is refused with the limit's message.
+        c = "9" * 4000
+        big = f"({c}*{c}*{c}*{c}*{c})"
+        expected = f"{format_rational(Fraction(1, int(c) ** 5))}\n"
+        for expr in (f"z*{big}^(-1)", f"z/{big}"):
+            assert run(["coeff", expr, "--n", "1"]) == 0
+            assert capsys.readouterr() == (expected, "")
+        assert run(["coeff", f"{big}^2", "--n", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "over the limit" in err
+
     @pytest.mark.parametrize("expr", ["z^10/z^10", "z^12/z^6/z^6"])
     def test_division_by_z_power_retries_once(self, expr, capsys):
         # The divisions leave fewer than n + 1 coefficients; the missing

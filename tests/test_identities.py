@@ -1,3 +1,5 @@
+import gc
+import sys
 from fractions import Fraction
 
 import pytest
@@ -225,8 +227,39 @@ def test_log_routes_match_reference_on_small_grid():
 @example(point=(60, 60))
 @example(point=(60, -10))
 @example(point=(60, 0))
+@example(point=(94, -6))
+@example(point=(94, 0))
+@example(point=(94, 4))
 @settings(max_examples=150, deadline=None)
 def test_log_routes_match_reference(point):
     n, c = point
     assert log_lhs(n, c) == reference_log_lhs(n, c)
     assert log_rhs(n, c) == reference_log_rhs(n, c)
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython",
+                    reason="measures CPython's tuple free lists")
+def test_log_routes_leave_allocated_blocks_flat():
+    # An argument tuple for math.lcm(*args) is freed onto CPython's tuple
+    # free lists, which nothing empties with gc off: a generator's tuple is
+    # resized onto another length's list, and 3.11 never reuses a freed
+    # tuple of length 20, so even lcm(*range) leaves a block per call with
+    # 20 terms.  The routes fold lcm pairwise and build no such tuple.
+    def one_round():
+        for n in range(41):
+            harmonic(n)
+            for c in range(-6, 5):
+                log_lhs(n, c)
+                log_rhs(n, c)
+
+    one_round()
+    gc.collect()
+    gc.disable()
+    try:
+        before = sys.getallocatedblocks()
+        for _ in range(300):
+            one_round()
+        grown = sys.getallocatedblocks() - before
+    finally:
+        gc.enable()
+    assert grown < 2000

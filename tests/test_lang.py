@@ -256,8 +256,8 @@ class TestZFreeSubtrees:
         assert evaluate(parse_text(text), 5) == ps_affine(identity_z(5), m, c)
 
     def test_divisor_over_the_power_bit_limit_scales(self):
-        # 5 * 13 288 bits is over MAX_POWER_BITS, which bounds ps_inverse;
-        # scaling by 1/c has no such limit.
+        # 5 * 13 288 bits is over MAX_POWER_BITS; the divisor is z-free, so
+        # the quotient scales z by its reciprocal.
         c = "9" * 4000
         expr = parse_text(f"z/({c}*{c}*{c}*{c}*{c})")
         assert evaluate(expr, 2) == ps_affine(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from exactseries.binomial import binom
+from exactseries.rationals import format_rational
 from exactseries.series import (
     MAX_POWER_BITS,
     PowerSeries,
@@ -286,6 +287,21 @@ class TestFractionPow:
             fraction_pow(Fraction(3), Fraction(99999999999))
         with pytest.raises(SeriesDomainError, match="over the limit"):
             fraction_pow(Fraction(1, 2), Fraction(MAX_POWER_BITS + 1))
+
+    def test_power_no_larger_than_its_base_is_never_refused(self):
+        # The base alone is over MAX_POWER_BITS; |e| <= 1 cannot grow it.
+        big = 3**50000
+        assert fraction_pow(Fraction(big, 7), Fraction(-1)) == Fraction(7, big)
+        assert fraction_pow(Fraction(big**2), Fraction(-1, 2)) == Fraction(1, big)
+        assert fraction_pow(Fraction(-(big**3)), Fraction(2, 3)) == big**2
+
+    def test_messages_print_bases_past_the_digit_limit(self):
+        big = 3**50001
+        with pytest.raises(SeriesDomainError, match="over the limit") as raised:
+            fraction_pow(Fraction(big), Fraction(2))
+        assert str(raised.value).startswith(format_rational(Fraction(big)) + "^2 ")
+        with pytest.raises(SeriesDomainError, match="not rational"):
+            fraction_pow(Fraction(big), Fraction(1, 2))
 
     def test_power_at_bit_limit_and_powers_of_one(self):
         assert fraction_pow(Fraction(2), Fraction(MAX_POWER_BITS)) == 2**MAX_POWER_BITS
