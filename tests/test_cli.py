@@ -566,6 +566,23 @@ def test_golden_tables(case, capsys):
     assert capsys.readouterr().out == expected
 
 
+GOLDEN_VERIFY = {
+    "vandermonde": ["vandermonde", "--m=1/2,-5/3,2", "--n", "0..4",
+                    "--c", "0..2"],
+    "log_dual": ["log-dual", "--n", "0..4", "--c=-7..3"],
+    "log_closed": ["log-closed", "--n", "0..4", "--c=-7..0"],
+}
+
+
+@pytest.mark.parametrize("suffix", ["txt", "json"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_VERIFY))
+def test_golden_verify(name, suffix, capsys):
+    flags = ["--json"] if suffix == "json" else []
+    assert run(["verify", *GOLDEN_VERIFY[name], *flags]) == 0
+    expected = (GOLDEN_DIR / f"verify_{name}.{suffix}").read_text()
+    assert capsys.readouterr().out == expected
+
+
 def test_console_entry_point_runs():
     # The child imports the checkout's package, installed or not.
     src = str(Path(__file__).resolve().parent.parent / "src")
