@@ -118,18 +118,11 @@ def _cmd_verify(args) -> int:
     identity = args.identity.replace("-", "_")
     ns = _int_grid(parse_grid(args.n), "--n")
     cs = _int_grid(parse_grid(args.c), "--c")
-    if identity == "vandermonde":
-        ms = [Fraction(0)] if args.m is None else parse_grid(args.m)
-        if any(c < 0 for c in cs):
-            raise ValueError("vandermonde needs c >= 0")
-        reports = identities.verify(identity, ms=ms, ns=ns, cs=cs)
-    else:
-        if args.m is not None:
-            raise ValueError(f"--m does not apply to {args.identity}")
-        if identity == "log_closed" and any(c >= 1 for c in cs):
-            raise ValueError("log-closed has no closed form for c >= 1")
-        reports = identities.verify(identity, ns=ns, cs=cs)
-    reports = [_report_json(r) for r in reports]
+    if args.m is not None and identity != "vandermonde":
+        raise ValueError(f"--m does not apply to {args.identity}")
+    ms = [Fraction(0)] if args.m is None else parse_grid(args.m)
+    reports = [_report_json(r)
+               for r in identities.verify(identity, ms=ms, ns=ns, cs=cs)]
     if args.json:
         print(json.dumps(reports, indent=2))
     else:

@@ -2,10 +2,10 @@
 logarithmic-series identities.
 
 Each identity is computed along several independent routes (finite sum,
-closed form, series-coefficient extraction); exact agreement of all routes
-is the verification verdict.  Summation bounds are computed up front from
-the vanishing conventions of the binomial symbol, never by iterating until
-terms look small.
+closed form, series-coefficient extraction), listed once in ``IDENTITIES``;
+exact agreement of all routes is the verdict.  Summation bounds are
+computed up front from the vanishing conventions of the binomial symbol,
+never by iterating until terms look small.
 """
 
 from __future__ import annotations
@@ -53,12 +53,10 @@ def vandermonde_closed(m: Fraction | int, n: int, c: int) -> Fraction:
     return binom(Fraction(m) + n, n - c)
 
 
-def vandermonde_series_route(m: Fraction | int, n: int, c: int, N: int) -> Fraction:
+def vandermonde_series_route(m: Fraction | int, n: int, c: int) -> Fraction:
     """Coefficient of z^n in z^c * (1-z)^(-(m+c+1)), built from series ops."""
     _check_vandermonde(n, c)
-    if N < n:
-        raise ValueError(f"truncation order {N} is below requested coefficient {n}")
-    expansion = binomial_series(-(Fraction(m) + c + 1), N, at_minus_z=True)
+    expansion = binomial_series(-(Fraction(m) + c + 1), n, at_minus_z=True)
     return coefficient(ps_monomial_shift(expansion, c), n)
 
 
@@ -147,14 +145,34 @@ class IdentityReport:
     notes: tuple[str, ...] = field(default_factory=tuple)
 
 
-IDENTITIES = ("vandermonde", "log_dual", "log_closed")
+# Each identity's routes in print order, label -> route function name.  The
+# routes of one identity take the same arguments and check them themselves.
+# Names are looked up per call, so a rebound module attribute is what runs.
+IDENTITIES = {
+    "vandermonde": {"sum": "vandermonde_sum", "closed": "vandermonde_closed",
+                    "series": "vandermonde_series_route"},
+    "log_dual": {"lhs": "log_lhs", "rhs": "log_rhs"},
+    "log_closed": {"lhs": "log_lhs", "closed": "log_closed"},
+}
 
 
-def _report(identity: str, params: dict, routes: dict,
-            notes: tuple[str, ...] = ()) -> IdentityReport:
-    values = list(routes.values())
-    verdict = all(v == values[0] for v in values)
-    return IdentityReport(identity, params, routes, verdict, notes)
+def _reports(identity: str, names: dict, points: Iterable[dict]
+             ) -> list[IdentityReport]:
+    """One report per point, a dict of the route arguments in order: every
+    route in ``names`` runs at it, and the verdict is that all agree.  The
+    note follows log_closed: it marks where that route ran at c < -4."""
+    routes = {label: globals()[name] for label, name in names.items()}
+    extrapolates = "log_closed" in names.values()
+    reports = []
+    for params in points:
+        values = {label: route(*params.values())
+                  for label, route in routes.items()}
+        first, *rest = values.values()
+        notes = (("closed form extrapolated beyond proven range",)
+                 if extrapolates and params["c"] < -4 else ())
+        reports.append(IdentityReport(identity, params, values,
+                                      all(v == first for v in rest), notes))
+    return reports
 
 
 def verify(
@@ -163,39 +181,25 @@ def verify(
     ns: Iterable[int] = (),
     cs: Iterable[int] = (),
 ) -> list[IdentityReport]:
-    """Evaluate every applicable route of ``identity`` over the parameter
-    grid, one report per grid point, in grid order."""
+    """Evaluate every route of ``identity`` over the parameter grid, one
+    report per grid point, in grid order.  ``ms`` applies to vandermonde
+    only; the log identities take points (n, c)."""
     if identity not in IDENTITIES:
-        raise ValueError(f"unknown identity {identity!r}; choose from {IDENTITIES}")
-    reports = []
+        raise ValueError(
+            f"unknown identity {identity!r}; choose from {tuple(IDENTITIES)}")
     if identity == "vandermonde":
-        for m, n, c in itertools.product(ms, ns, cs):
-            m = Fraction(m)
-            routes = {
-                "sum": vandermonde_sum(m, n, c),
-                "closed": vandermonde_closed(m, n, c),
-                "series": vandermonde_series_route(m, n, c, n),
-            }
-            reports.append(_report(identity, {"m": m, "n": n, "c": c}, routes))
-    elif identity == "log_dual":
-        for n, c in itertools.product(ns, cs):
-            routes = {"lhs": log_lhs(n, c), "rhs": log_rhs(n, c)}
-            reports.append(_report(identity, {"n": n, "c": c}, routes))
+        points = ({"m": Fraction(m), "n": n, "c": c}
+                  for m, n, c in itertools.product(ms, ns, cs))
     else:
-        for n, c in itertools.product(ns, cs):
-            routes = {"lhs": log_lhs(n, c), "closed": log_closed(n, c)}
-            notes = ("closed form extrapolated beyond proven range",) if c < -4 else ()
-            reports.append(_report(identity, {"n": n, "c": c}, routes, notes))
-    return reports
+        points = ({"n": n, "c": c} for n, c in itertools.product(ns, cs))
+    return _reports(identity, IDENTITIES[identity], points)
 
 
 def log_table(c: int, ns: Iterable[int]) -> list[IdentityReport]:
     """Rows of the worked log-series table for shift c, one report per n:
-    routes lhs and rhs, and closed where a closed form exists (c <= 0)."""
-    reports = []
-    for n in ns:
-        routes = {"lhs": log_lhs(n, c), "rhs": log_rhs(n, c)}
-        if c <= 0:
-            routes["closed"] = log_closed(n, c)
-        reports.append(_report("log_table", {"n": n, "c": c}, routes))
-    return reports
+    the log_dual routes lhs and rhs, and log_closed's closed where a closed
+    form exists (c <= 0)."""
+    names = dict(IDENTITIES["log_dual"])
+    if c <= 0:
+        names["closed"] = IDENTITIES["log_closed"]["closed"]
+    return _reports("log_table", names, ({"n": n, "c": c} for n in ns))

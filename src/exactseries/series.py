@@ -12,6 +12,7 @@ that den > 0 and gcd(den, *nums) == 1: equal series compare equal.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -159,7 +160,7 @@ def log_geometric(order: int) -> PowerSeries:
     """-log(1-z) = z + z^2/2 + z^3/3 + ... to the given order."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    den = math.lcm(*range(1, order + 1))
+    den = functools.reduce(math.lcm, range(1, order + 1), 1)
     return PowerSeries([0] + [den // k for k in range(1, order + 1)], den)
 
 

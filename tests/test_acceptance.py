@@ -113,7 +113,7 @@ def test_criterion_08_vandermonde_triple_route():
                 s = vandermonde_sum(m, n, c)
                 if s != vandermonde_closed(m, n, c):
                     failures += 1
-                if s != vandermonde_series_route(m, n, c, n):
+                if s != vandermonde_series_route(m, n, c):
                     failures += 1
     assert failures == 0
     passed("criterion 8: vandermonde sum = closed = series on the full grid")

@@ -446,7 +446,8 @@ class TestJsonErrors:
     def test_verify_and_table(self, capsys):
         assert self.error(["verify", "vandermonde", "--m", "1", "--n", "0",
                            "--c=-1", "--json"], capsys) == {
-            "kind": "ValueError", "message": "vandermonde needs c >= 0"}
+            "kind": "ValueError",
+            "message": "vandermonde needs c >= 0, got c=-1"}
         assert self.error(["table", "euler", "--case", "c0", "--n-max", "-1",
                            "--json"], capsys) == {
             "kind": "ValueError", "message": "--n-max must be >= 0, got -1"}
@@ -492,8 +493,10 @@ class TestVerifyCommand:
         assert all(r["params"]["c"] < -4 for r in flagged)
         assert flagged
 
-    def test_log_closed_rejects_positive_c(self):
+    def test_log_closed_rejects_positive_c(self, capsys):
         assert run(["verify", "log-closed", "--n", "0..3", "--c", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: no closed form for c=1 >= 1; use the dual-series routes\n")
 
     def test_vandermonde_rejects_negative_c(self):
         assert run(["verify", "vandermonde", "--m", "1",

@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from exactseries import identities
 from exactseries.binomial import binom, harmonic
 from exactseries.identities import (
+    IDENTITIES,
     IdentityReport,
     log_closed,
     log_lhs,
@@ -24,7 +26,7 @@ class TestVandermondeRoutes:
         # 1*1 + 3*4 + 3*6 + 1*4
         assert vandermonde_sum(3, 4, 0) == 35
         assert vandermonde_closed(3, 4, 0) == binom(7, 4) == 35
-        assert vandermonde_series_route(3, 4, 0, 4) == 35
+        assert vandermonde_series_route(3, 4, 0) == 35
 
     def test_empty_sum_when_c_exceeds_n(self):
         assert vandermonde_sum(5, 2, 3) == 0
@@ -38,15 +40,15 @@ class TestVandermondeRoutes:
         expected = Fraction(15, 8)
         assert vandermonde_sum(Fraction(1, 2), 2, 0) == expected
         assert vandermonde_closed(Fraction(1, 2), 2, 0) == expected
-        assert vandermonde_series_route(Fraction(1, 2), 2, 0, 6) == expected
+        assert vandermonde_series_route(Fraction(1, 2), 2, 0) == expected
 
     def test_series_route_example(self):
-        assert vandermonde_series_route(2, 3, 1, 8) == binom(5, 2) == 10
+        assert vandermonde_series_route(2, 3, 1) == binom(5, 2) == 10
 
     def test_lowest_surviving_power(self):
         for m in (0, 3, Fraction(5, 3), Fraction(-1, 2)):
             for n in range(5):
-                assert vandermonde_series_route(m, n, n, n) == 1
+                assert vandermonde_series_route(m, n, n) == 1
 
     def test_m_zero_collapses(self):
         for n in range(10):
@@ -59,10 +61,6 @@ class TestVandermondeRoutes:
         with pytest.raises(ValueError):
             vandermonde_closed(2, -3, 1)
 
-    def test_series_route_rejects_short_order(self):
-        with pytest.raises(ValueError):
-            vandermonde_series_route(1, 5, 0, 4)
-
     def test_triple_route_grid(self):
         ms = [Fraction(v) for v in range(6)]
         ms += [Fraction(1, 2), Fraction(-1, 2), Fraction(5, 3)]
@@ -71,7 +69,7 @@ class TestVandermondeRoutes:
                 for c in range(0, 7):
                     s = vandermonde_sum(m, n, c)
                     assert s == vandermonde_closed(m, n, c)
-                    assert s == vandermonde_series_route(m, n, c, n)
+                    assert s == vandermonde_series_route(m, n, c)
 
 
 class TestLogSeries:
@@ -188,6 +186,27 @@ class TestVerify:
         (report,) = log_table(2, [6])
         assert report.route_values == {"lhs": Fraction(57, 4), "rhs": Fraction(57, 4)}
         assert report.verdict
+
+
+class TestRouteTable:
+    def test_every_identity_has_two_routes_that_resolve(self):
+        for identity, routes in IDENTITIES.items():
+            assert len(routes) >= 2, identity
+            for name in routes.values():
+                assert callable(getattr(identities, name)), name
+
+    @pytest.mark.parametrize("identity, name, m", [
+        ("vandermonde", "vandermonde_series_route", Fraction(1, 2)),
+        ("log_dual", "log_rhs", Fraction(0)),
+    ])
+    def test_verify_runs_the_rebound_route(self, identity, name, m,
+                                           monkeypatch):
+        # Routes are looked up by name when verify runs, so a route rebound
+        # on the module is the one that runs.
+        monkeypatch.setattr(identities, name, lambda *args: Fraction(-99))
+        (report,) = verify(identity, ms=[m], ns=[3], cs=[1])
+        assert Fraction(-99) in report.route_values.values()
+        assert not report.verdict
 
 
 # ------------------------------------------ reference per-term log routes

@@ -700,6 +700,25 @@ def test_series_ops_leave_allocated_blocks_flat():
     assert grown < 2000
 
 
+@pytest.mark.skipif(sys.implementation.name != "cpython",
+                    reason="measures CPython's tuple free lists")
+def test_log_geometric_leaves_allocated_blocks_flat():
+    # CPython 3.11 never reuses a freed tuple of length 20, so an argument
+    # tuple math.lcm(*range(1, 21)) left one block per call: about 2000
+    # over these 3000 calls.  The lcm is folded pairwise instead.
+    log_geometric(20)
+    gc.collect()
+    gc.disable()
+    try:
+        before = sys.getallocatedblocks()
+        for _ in range(3000):
+            log_geometric(20)
+        grown = sys.getallocatedblocks() - before
+    finally:
+        gc.enable()
+    assert grown < 500
+
+
 # ------------------------------------------------- reference fraction_pow
 # fraction_pow as it was on Fractions, before the exponent and the bit limit
 # moved to integers: the oracle for that arithmetic, its errors and their
