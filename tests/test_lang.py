@@ -116,6 +116,64 @@ class TestParse:
         assert text[err.value.pos] in "(-"
 
 
+# The error contract of the parser: each malformed input with the exact
+# exception, message and offset it raises.
+ERROR_TABLE = [
+    ("", ParseError, "unexpected end of input at offset 0", 0),
+    ("   ", ParseError, "unexpected end of input at offset 3", 3),
+    ("1+", ParseError, "unexpected end of input at offset 2", 2),
+    ("-", ParseError, "unexpected end of input at offset 1", 1),
+    ("(1+z", ParseError, "expected ')', got end of input at offset 4", 4),
+    ("1+z)", ParseError, "trailing input ')' at offset 3", 3),
+    ("(z))", ParseError, "trailing input ')' at offset 3", 3),
+    ("z z", ParseError, "trailing input 'z' at offset 2", 2),
+    ("z^", ParseError,
+     "exponent must be an integer or parenthesized ratio at offset 2", 2),
+    ("z^z", ParseError,
+     "exponent must be an integer or parenthesized ratio at offset 2", 2),
+    ("z^-1", ParseError,
+     "exponent must be an integer or parenthesized ratio at offset 2", 2),
+    ("z^(", ParseError, "expected 'INT', got end of input at offset 3", 3),
+    ("z^(1", ParseError, "expected ')', got end of input at offset 4", 4),
+    ("z^(1/", ParseError, "expected 'INT', got end of input at offset 5", 5),
+    ("z^(1/2", ParseError, "expected ')', got end of input at offset 6", 6),
+    ("z^(1/0)", ParseError, "zero denominator in exponent at offset 5", 5),
+    ("z^(-)", ParseError, "expected 'INT', got ')' at offset 4", 4),
+    ("z^(--1)", ParseError, "expected 'INT', got '-' at offset 4", 4),
+    ("z^(1/2/3)", ParseError, "expected ')', got '/' at offset 6", 6),
+    ("z^(1/2)^2", ParseError, "trailing input '^' at offset 7", 7),
+    ("log", ParseError, "expected '(', got end of input at offset 3", 3),
+    ("log 1-z", ParseError, "expected '(', got '1' at offset 4", 4),
+    ("log(", ParseError, "unexpected end of input at offset 4", 4),
+    ("log(1-z", ParseError, "expected ')', got end of input at offset 7", 7),
+    ("log(1/(1-z)", ParseError,
+     "expected ')', got end of input at offset 11", 11),
+    ("log(z)", ParseError, "log supports only the shapes log(1/(1-z)) and "
+     "log(1-z) at offset 0", 0),
+    ("()", ParseError, "unexpected token ')' at offset 1", 1),
+    ("*z", ParseError, "unexpected token '*' at offset 0", 0),
+    ("1+*z", ParseError, "unexpected token '*' at offset 2", 2),
+    ("z$", LexError, "unexpected character '$' at offset 1", 1),
+    ("sin(z)", LexError, "unknown identifier 'sin' at offset 0", 0),
+    ("Z", LexError, "unknown identifier 'Z' at offset 0", 0),
+]
+
+
+@pytest.mark.parametrize("text, kind, message, pos", ERROR_TABLE)
+def test_error_contract(text, kind, message, pos):
+    with pytest.raises(ValueError) as err:
+        parse_text(text)
+    assert (type(err.value), str(err.value), err.value.pos) == (
+        kind, message, pos)
+
+
+def test_token_list_without_length_ends_at_its_last_token():
+    with pytest.raises(ParseError, match="end of input at offset 2$"):
+        parse(tokenize("1+  "))
+    with pytest.raises(ParseError, match="end of input at offset 0$"):
+        parse([])
+
+
 ROUND_TRIP_CORPUS = [
     "z",
     "1",
