@@ -22,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
+from .rationals import digit_limit_error
 from .series import (
     PowerSeries,
     SeriesDomainError,
@@ -56,35 +57,38 @@ class EvalError(ValueError):
 # ---------------------------------------------------------------- lexer
 
 class Token(NamedTuple):
-    kind: str  # INT, NAME, or the operator/paren character itself
+    kind: str  # INT, NAME, END, or the operator/paren character itself
     text: str
     pos: int
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of text.  Digits and letters are ASCII only."""
     tokens = []
     i = 0
     while i < len(text):
         ch = text[i]
-        if ch.isspace():
+        if ch in "+-*/^()":
+            tokens.append(Token(ch, ch, i))
             i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
+        elif ch in "0123456789":
+            j = i + 1
+            while j < len(text) and text[j] in "0123456789":
                 j += 1
+            if error := digit_limit_error(j - i):
+                raise LexError(error, i)
             tokens.append(Token("INT", text[i:j], i))
             i = j
-        elif ch.isalpha():
-            j = i
-            while j < len(text) and text[j].isalpha():
+        elif ch.isascii() and ch.isalpha():
+            j = i + 1
+            while j < len(text) and text[j].isascii() and text[j].isalpha():
                 j += 1
             word = text[i:j]
             if word not in ("z", "log"):
                 raise LexError(f"unknown identifier {word!r}", i)
             tokens.append(Token("NAME", word, i))
             i = j
-        elif ch in "+-*/^()":
-            tokens.append(Token(ch, ch, i))
+        elif ch.isspace():
             i += 1
         else:
             raise LexError(f"unexpected character {ch!r}", i)
@@ -94,81 +98,64 @@ def tokenize(text: str) -> list[Token]:
 # ---------------------------------------------------------------- parser
 
 class _Parser:
-    def __init__(self, tokens: list[Token], length: int):
-        self.tokens = tokens
-        self.i = 0
-        self.length = length
+    """Recursive descent; the tokens end in an END token at the length."""
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+    def __init__(self, tokens: list[Token], length: int):
+        self.tokens = [*tokens, Token("END", "end of input", length)]
+        self.i = 0
+
+    def peek(self) -> Token:
+        return self.tokens[self.i]
 
     def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.length)
-        self.i += 1
+        tok = self.tokens[self.i]
+        self.i += tok.kind != "END"  # END stays, so peek() always has a token
         return tok
 
+    def accept(self, kind: str) -> bool:
+        found = self.peek().kind == kind
+        self.i += found
+        return found
+
     def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok is None or tok.kind != kind:
-            pos = tok.pos if tok else self.length
-            got = repr(tok.text) if tok else "end of input"
-            raise ParseError(f"expected {kind!r}, got {got}", pos)
-        return self.next()
+        tok = self.next()
+        if tok.kind != kind:
+            got = tok.text if tok.kind == "END" else repr(tok.text)
+            raise ParseError(f"expected {kind!r}, got {got}", tok.pos)
+        return tok
 
-    def parse_expr(self):
-        node = self.parse_term()
-        while (tok := self.peek()) and tok.kind in "+-":
-            self.next()
-            node = (tok.kind, node, self.parse_term())
-        return node
-
-    def parse_term(self):
-        node = self.parse_unary()
-        while (tok := self.peek()) and tok.kind in "*/":
-            self.next()
-            node = (tok.kind, node, self.parse_unary())
+    def parse_chain(self, ops: str = "+-"):
+        """A left-deep chain: "+-" joins "*/" chains, "*/" unary operands."""
+        node = self.parse_chain("*/") if ops == "+-" else self.parse_unary()
+        while (op := self.peek().kind) in ops:
+            self.i += 1
+            node = (op, node, self.parse_chain("*/") if ops == "+-"
+                    else self.parse_unary())
         return node
 
     def parse_unary(self):
-        tok = self.peek()
-        if tok and tok.kind == "-":
-            self.next()
+        if self.accept("-"):
             return ("-", ("lit", Fraction(0)), self.parse_unary())
-        return self.parse_power()
-
-    def parse_power(self):
         base = self.parse_atom()
-        tok = self.peek()
-        if tok and tok.kind == "^":
-            self.next()
-            return ("^", base, self.parse_exponent())
-        return base
+        return ("^", base, self.parse_exponent()) if self.accept("^") else base
 
     def parse_exponent(self) -> Fraction:
-        tok = self.peek()
-        if tok and tok.kind == "INT":
-            self.next()
+        tok = self.next()
+        if tok.kind == "INT":
             return Fraction(int(tok.text))
-        if tok and tok.kind == "(":
-            self.next()
-            sign = 1
-            if (t := self.peek()) and t.kind == "-":
-                self.next()
-                sign = -1
-            num = int(self.expect("INT").text)
-            den = 1
-            if (t := self.peek()) and t.kind == "/":
-                self.next()
-                den_tok = self.expect("INT")
-                den = int(den_tok.text)
-                if den == 0:
-                    raise ParseError("zero denominator in exponent", den_tok.pos)
-            self.expect(")")
-            return Fraction(sign * num, den)
-        pos = tok.pos if tok else self.length
-        raise ParseError("exponent must be an integer or parenthesized ratio", pos)
+        if tok.kind != "(":
+            raise ParseError(
+                "exponent must be an integer or parenthesized ratio", tok.pos)
+        sign = -1 if self.accept("-") else 1
+        num = int(self.expect("INT").text)
+        den = 1
+        if self.accept("/"):
+            den_tok = self.expect("INT")
+            den = int(den_tok.text)
+            if den == 0:
+                raise ParseError("zero denominator in exponent", den_tok.pos)
+        self.expect(")")
+        return Fraction(sign * num, den)
 
     def parse_atom(self):
         tok = self.next()
@@ -178,14 +165,15 @@ class _Parser:
             return ("z",)
         if tok.kind == "NAME" and tok.text == "log":
             self.expect("(")
-            arg = self.parse_expr()
+            arg = self.parse_chain()
             self.expect(")")
             return self._log_node(arg, tok.pos)
         if tok.kind == "(":
-            node = self.parse_expr()
+            node = self.parse_chain()
             self.expect(")")
             return node
-        raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
+        what = tok.text if tok.kind == "END" else f"token {tok.text!r}"
+        raise ParseError(f"unexpected {what}", tok.pos)
 
     @staticmethod
     def _log_node(arg, pos: int):
@@ -195,8 +183,7 @@ class _Parser:
         if arg == one_minus_z:
             return ("-", ("lit", Fraction(0)), ("log",))
         raise ParseError(
-            "log supports only the shapes log(1/(1-z)) and log(1-z)", pos
-        )
+            "log supports only the shapes log(1/(1-z)) and log(1-z)", pos)
 
 
 def parse(tokens: list[Token], length: int | None = None):
@@ -204,12 +191,10 @@ def parse(tokens: list[Token], length: int | None = None):
         length = tokens[-1].pos + len(tokens[-1].text) if tokens else 0
     p = _Parser(tokens, length)
     try:
-        node = p.parse_expr()
+        node = p.parse_chain()
     except RecursionError:
-        tok = p.peek()
-        raise ParseError("expression nested too deeply",
-                         tok.pos if tok else length) from None
-    if (tok := p.peek()) is not None:
+        raise ParseError("expression nested too deeply", p.peek().pos) from None
+    if (tok := p.peek()).kind != "END":
         raise ParseError(f"trailing input {tok.text!r}", tok.pos)
     return node
 
@@ -221,8 +206,8 @@ def parse_text(text: str):
 # ---------------------------------------------------------------- printer
 
 def pretty(expr) -> str:
-    """Render an AST so that reparsing gives back the identical tree.
-    Binary subexpressions are fully parenthesized."""
+    """Render an AST so that reparsing gives back the identical tree.  Each
+    binary node or left-deep chain of + - or * / is one (z + z - z)."""
     match expr:
         case ("lit", value):
             if value.denominator == 1:
@@ -234,8 +219,13 @@ def pretty(expr) -> str:
             return "log(1/(1-z))"
         case ("-", ("lit", 0), inner):
             return f"-{pretty(inner)}"
-        case (("+" | "-" | "*" | "/") as op, l, r):
-            return f"({pretty(l)} {op} {pretty(r)})"
+        case (("+" | "-" | "*" | "/") as op, _, _):
+            level = ("+", "-") if op in ("+", "-") else ("*", "/")
+            rights = []
+            while expr[0] in level and expr[:2] != ("-", ("lit", 0)):
+                rights.append(f" {expr[0]} {pretty(expr[2])}")
+                expr = expr[1]
+            return f"({pretty(expr)}{''.join(reversed(rights))})"
         case ("^", base, e):
             bs = pretty(base)
             if base[0] == "^" or not (bs.startswith("(")
@@ -267,51 +257,61 @@ def evaluate(expr, order: int) -> PowerSeries:
 
 
 def _eval(expr, order: int) -> PowerSeries | Fraction:
-    """The series of expr, or its Fraction value when it has no z.
-
-    + - * of two Fractions is a Fraction, and with one Fraction operand they
-    scale or shift the series operand, as does / by a nonzero Fraction.  ^,
-    / by zero and / of two Fractions build a constant series and take the
-    series operator, so they raise and retry as any series operand would.
-    """
+    """The series of expr, or its Fraction value when it has no z.  Binary
+    nodes are walked down their left operands and applied on the way back
+    up, so recursion depth is nesting depth, not length."""
+    spine = []  # the binary nodes above expr, the lowest last
+    while expr[0] in _OPS:
+        spine.append(expr)
+        expr = expr[1]
     match expr:
         case ("lit", value):
-            return value
+            pass
         case ("z",):
-            return identity_z(order)
+            value = identity_z(order)
         case ("log",):
-            return log_geometric(order)
-        case (op, left, right) if op in _OPS:
-            a = _eval(left, order)
-            # The right of ^ is its Fraction exponent, not a subtree.
-            b = right if op == "^" else _eval(right, order)
-            match op, a, b:
-                case "+", Fraction(), Fraction():
-                    return a + b
-                case "-", Fraction(), Fraction():
-                    return a - b
-                case "*", Fraction(), Fraction():
-                    return a * b
-                case "+", Fraction(), _:
-                    return ps_affine(b, 1, a)
-                case "-", Fraction(), _:
-                    return ps_affine(b, -1, a)
-                case "*", Fraction(), _:
-                    return ps_affine(b, a, 0)
-                case "+", _, Fraction():
-                    return ps_affine(a, 1, b)
-                case "-", _, Fraction():
-                    return ps_affine(a, 1, -b)
-                case "*", _, Fraction():
-                    return ps_affine(a, b, 0)
-                case "/", PowerSeries(), Fraction() if b:
-                    return ps_affine(a, 1 / b, 0)
-            if isinstance(a, Fraction):
-                a = constant(a, order)
-            if op != "^" and isinstance(b, Fraction):
-                b = constant(b, order)
-            try:
-                return globals()[_OPS[op]](a, b)
-            except SeriesDomainError as exc:
-                raise EvalError(f"in {pretty(expr)}: {exc}") from exc
-    raise TypeError(f"not an expression node: {expr!r}")
+            value = log_geometric(order)
+        case _:
+            raise TypeError(f"not an expression node: {expr!r}")
+    for node in reversed(spine):
+        # The right of ^ is its Fraction exponent, not a subtree.
+        right = node[2] if node[0] == "^" else _eval(node[2], order)
+        value = _apply(node, value, right, order)
+    return value
+
+
+def _apply(node, a, b, order: int) -> PowerSeries | Fraction:
+    """node's operator on operand values a and b.  + - * of two Fractions
+    is a Fraction; one Fraction operand scales or shifts the series, as does
+    a nonzero Fraction divisor.  ^, / by zero and / of two Fractions take
+    the series operator on constant series, so they raise and retry."""
+    op = node[0]
+    match op, a, b:
+        case "+", Fraction(), Fraction():
+            return a + b
+        case "-", Fraction(), Fraction():
+            return a - b
+        case "*", Fraction(), Fraction():
+            return a * b
+        case "+", Fraction(), _:
+            return ps_affine(b, 1, a)
+        case "-", Fraction(), _:
+            return ps_affine(b, -1, a)
+        case "*", Fraction(), _:
+            return ps_affine(b, a, 0)
+        case "+", _, Fraction():
+            return ps_affine(a, 1, b)
+        case "-", _, Fraction():
+            return ps_affine(a, 1, -b)
+        case "*", _, Fraction():
+            return ps_affine(a, b, 0)
+        case "/", PowerSeries(), Fraction() if b:
+            return ps_affine(a, 1 / b, 0)
+    if isinstance(a, Fraction):
+        a = constant(a, order)
+    if op != "^" and isinstance(b, Fraction):
+        b = constant(b, order)
+    try:
+        return globals()[_OPS[op]](a, b)
+    except SeriesDomainError as exc:
+        raise EvalError(f"in {pretty(node)}: {exc}") from exc

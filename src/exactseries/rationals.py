@@ -5,8 +5,29 @@ guarantees the canonical form we need: positive denominator, gcd-reduced,
 structural equality.
 """
 
+import sys
 from decimal import Decimal
 from fractions import Fraction
+
+
+def digit_limit_error(digits: int) -> str | None:
+    """The error for an integer literal of this many decimal digits if it is
+    over CPython's int-to-str digit limit, else None.  (int() itself asks
+    for sys.set_int_max_str_digits(); Pythons before 3.10.7 have no limit.)
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and digits > limit:
+        return f"integer of {digits} digits is over the limit of {limit} digits"
+    return None
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        if error := digit_limit_error(sum(ch.isdecimal() for ch in text)):
+            raise ValueError(error) from None
+        raise
 
 
 def parse_rational(text: str) -> Fraction:
@@ -19,10 +40,10 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if "/" in text:
         num, _, den = text.partition("/")
-        if int(den) == 0:
+        if (q := _int(den)) == 0:
             raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+        return Fraction(_int(num), q)
+    return Fraction(_int(text))
 
 
 def format_rational(value: Fraction) -> str:

@@ -61,6 +61,12 @@ REPORT_SCHEMA = {
 }
 
 
+# CPython's int-to-str digit limit exists from 3.10.7 on, and 0 turns it off.
+needs_digit_limit = pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this Python has no int-to-str digit limit")
+
+
 def decimal_digits(n: int) -> str:
     """Decimal digits of n >= 0, converted 1000 at a time so that CPython's
     int-to-str digit limit never applies."""
@@ -373,12 +379,30 @@ class TestCoeff:
 
     @pytest.mark.parametrize("expr", [
         "(" * 2000 + "z" + ")" * 2000,  # recursion in the parser
-        "+".join(["z"] * 3000),  # recursion over a left-deep sum in evaluate
     ])
     def test_deep_expression_exits_2(self, expr, capsys):
         assert run(["coeff", expr, "--n", "1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    # Length is not depth: a flat chain of 3000 terms has no nesting.
+    @pytest.mark.parametrize("op, atom, value", [
+        ("+", "z", 3000),
+        ("-", "z", 1 - 2999),
+        ("*", "(1+z)", 3000),  # (1+z)^3000
+        ("/", "(1+z)", -2998),  # (1+z)^(1-2999)
+    ], ids=["add", "sub", "mul", "div"])
+    def test_flat_chain_of_3000_terms(self, op, atom, value, capsys):
+        assert run(["coeff", op.join([atom] * 3000), "--n", "1"]) == 0
+        assert capsys.readouterr() == (f"{value}\n", "")
+
+    def test_error_at_the_top_of_a_long_chain(self, capsys):
+        expr = "*".join(["z"] * 2999) + "/(z-z)"
+        assert run(["coeff", expr, "--n", "0", "--order", "0"]) == 2
+        chain = " * ".join(["z"] * 2999)
+        assert capsys.readouterr().err == (
+            f"error: in ({chain} / (z - z)): division by a series that is "
+            "zero to its order\n")
 
     def test_deep_parentheses_report_offset(self, capsys):
         expr = "(" * 2000 + "z" + ")" * 2000
@@ -438,10 +462,51 @@ class TestJsonErrors:
             f"expression nested too deeply at offset {error['pos']}")
 
     def test_deep_sum_in_evaluator(self, capsys):
+        # A flat sum is long, not deep: it has a value, and no error.
         expr = "+".join(["z"] * 3000)
-        assert self.error(["coeff", expr, "--n", "1", "--json"], capsys) == {
+        assert run(["coeff", expr, "--n", "1", "--json"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out) == {"expr": expr, "n": 1, "coefficient": "3000"}
+
+    def test_recursion_error(self, monkeypatch, capsys):
+        def too_deep(expr, order):
+            raise RecursionError("maximum recursion depth exceeded")
+        monkeypatch.setattr(cli, "evaluate", too_deep)
+        assert self.error(["coeff", "z", "--n", "1", "--json"], capsys) == {
             "kind": "RecursionError",
             "message": "expression nested too deeply"}
+
+    @pytest.mark.parametrize("expr, char, pos", [
+        ("2\u00b2", "\u00b2", 1),  # superscript two
+        ("z+\u0663", "\u0663", 2),  # Arabic-Indic digit three
+    ])
+    def test_non_ascii_digit(self, expr, char, pos, capsys):
+        assert self.error(["coeff", expr, "--n", "1", "--json"], capsys) == {
+            "kind": "LexError",
+            "message": f"unexpected character {char!r} at offset {pos}",
+            "pos": pos}
+
+    @needs_digit_limit
+    def test_literal_over_the_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        expr = "z^2+" + "7" * (limit + 1)
+        assert self.error(["coeff", expr, "--n", "1", "--json"], capsys) == {
+            "kind": "LexError",
+            "message": f"integer of {limit + 1} digits is over the limit of "
+                       f"{limit} digits at offset 4",
+            "pos": 4}
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("flag", ["--m", "--n", "--c"])
+    def test_grid_value_over_the_digit_limit(self, flag, capsys):
+        limit = sys.get_int_max_str_digits()
+        huge = "1/" + "3" * (limit + 1)
+        assert self.error(["verify", "vandermonde", "--m", "1", "--n", "0",
+                           "--c", "0", flag, huge, "--json"], capsys) == {
+            "kind": "ValueError",
+            "message": f"integer of {limit + 1} digits is over the limit of "
+                       f"{limit} digits"}
 
     def test_verify_and_table(self, capsys):
         assert self.error(["verify", "vandermonde", "--m", "1", "--n", "0",

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,36 @@ class TestTokenize:
     def test_unknown_identifier(self):
         with pytest.raises(LexError):
             tokenize("sin(z)")
+
+    # str.isdigit and str.isalpha accept these; int() would read the first
+    # as an error without an offset and the second as 3.
+    @pytest.mark.parametrize("text, pos", [
+        ("2\u00b2", 1),  # superscript two
+        ("z+\u0663", 2),  # Arabic-Indic digit three
+        ("z\u00e9", 1),  # a non-ASCII letter
+    ])
+    def test_non_ascii_digit_or_letter(self, text, pos):
+        with pytest.raises(LexError) as err:
+            tokenize(text)
+        assert err.value.pos == pos
+        assert str(err.value) == (
+            f"unexpected character {text[pos]!r} at offset {pos}")
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this Python has no int-to-str digit limit")
+    def test_literal_over_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(LexError) as err:
+            tokenize("z*" + "9" * (limit + 1))
+        assert err.value.pos == 2
+        assert str(err.value) == (f"integer of {limit + 1} digits is over "
+                                  f"the limit of {limit} digits at offset 2")
+        assert tokenize("9" * limit)[0].text == "9" * limit
+
+    def test_no_digit_limit_before_python_3_10_7(self, monkeypatch):
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        assert tokenize("9" * 5000) == [lang.Token("INT", "9" * 5000, 0)]
 
 
 class TestParse:
@@ -114,6 +145,16 @@ class TestParse:
         assert str(err.value).startswith("expression nested too deeply")
         assert 0 < err.value.pos < len(text)
         assert text[err.value.pos] in "(-"
+
+    def test_nesting_limit_at_the_end_of_input_is_a_parse_error(self):
+        # The recursion limit falls on the END token for one length of each
+        # run; the error is still a ParseError with an offset in the input.
+        runs = ["(" * n for n in range(150, 300)]
+        runs += ["-" * n for n in range(800, 1000)]
+        for text in runs:
+            with pytest.raises(ParseError) as err:
+                parse_text(text)
+            assert err.value.pos <= len(text)
 
 
 # The error contract of the parser: each malformed input with the exact
@@ -216,6 +257,29 @@ def test_pretty_round_trip(text):
     assert parse_text(pretty(expr)) == expr
 
 
+@pytest.mark.parametrize("text, printed", [
+    ("1-z+z^2-z^3", "(1 - z + z^2 - z^3)"),
+    ("z*z/(1-z)*2", "(z * z / (1 - z) * 2)"),
+    ("-z-z", "(-z - z)"),
+    ("0+z+z", "(0 + z + z)"),
+    ("z*z+z", "((z * z) + z)"),
+    ("z+z*z", "(z + (z * z))"),
+    ("z-(z-z)", "(z - (z - z))"),
+])
+def test_pretty_prints_a_chain_flat(text, printed):
+    assert pretty(parse_text(text)) == printed
+    assert parse_text(printed) == parse_text(text)
+
+
+# Trees of 3000-term chains are compared through pretty or their values:
+# CPython's tuple == recurses down the left-deep spine.
+@pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+def test_pretty_round_trips_a_3000_term_chain(op):
+    printed = pretty(parse_text(op.join(["z"] * 3000)))
+    assert printed == "(" + f" {op} ".join(["z"] * 3000) + ")"
+    assert pretty(parse_text(printed)) == printed
+
+
 def test_pretty_parenthesizes_a_power_of_a_power():
     expr = parse_text("((z-z)^2)^(1/2)")
     assert pretty(expr) == "((z - z)^2)^(1/2)"
@@ -294,6 +358,44 @@ def test_evaluate_calls_the_operator_the_module_binds(monkeypatch, text, name):
     monkeypatch.undo()
     assert len(calls) == 1
     assert evaluate(parse_text(text), 6) == expected
+
+
+class TestLongChains:
+    """Length is not depth: a chain of 3000 terms evaluates in a loop."""
+
+    @pytest.mark.parametrize("text, same", [
+        ("+".join(["z"] * 3000), "3000*z"),
+        ("-".join(["z"] * 3000), "-2998*z"),
+        ("*".join(["(1+z)"] * 3000), "(1+z)^3000"),
+        ("/".join(["(1+z)"] * 3000), "(1+z)^(-2998)"),
+        ("z" + "*2" * 3000 + "/2" * 2999, "2*z"),
+    ], ids=["add", "sub", "mul", "div", "scalars"])
+    def test_value(self, text, same):
+        assert evaluate(parse_text(text), 3) == evaluate(parse_text(same), 3)
+
+    def test_operators_apply_in_order(self, monkeypatch):
+        calls = []
+        original = lang.ps_sub
+
+        def recording(a, b):
+            calls.append(coefficient(b, 0))
+            return original(a, b)
+        monkeypatch.setattr(lang, "ps_sub", recording)
+        terms = [f"(z+{k})" for k in range(3000)]
+        s = evaluate(parse_text("-".join(terms)), 1)
+        assert calls == list(range(1, 3000))
+        assert coefficient(s, 0) == -sum(range(1, 3000))
+        assert coefficient(s, 1) == 1 - 2999
+
+    def test_error_names_the_node_that_fails(self):
+        text = "+".join(["z"] * 3000) + "+1/(z-z)"
+        with pytest.raises(EvalError, match=r"^in \(1 / \(z - z\)\): "):
+            evaluate(parse_text(text), 2)
+        text = "*".join(["z"] * 3000) + "/(z-z)"
+        with pytest.raises(EvalError) as err:
+            evaluate(parse_text(text), 2)
+        assert str(err.value).startswith(
+            "in (" + " * ".join(["z"] * 3000) + " / (z - z)): ")
 
 
 class TestZFreeSubtrees:
