@@ -14,8 +14,9 @@ import sys
 from fractions import Fraction
 
 from . import identities
-from .lang import EvalError, LexError, ParseError, evaluate, parse_text
-from .rationals import format_rational, parse_rational
+from .lang import (EvalError, LexError, ParseError, evaluate, order_loss,
+                   parse_text)
+from .rationals import format_rational, parse_int, parse_rational
 from .series import PowerSeries, ZeroToOrderError, coefficient
 
 TABLE_CASES = {
@@ -42,7 +43,7 @@ def parse_grid(text: str) -> list[Fraction]:
         part = part.strip()
         if ".." in part:
             lo_text, _, hi_text = part.partition("..")
-            lo, hi = int(lo_text), int(hi_text)
+            lo, hi = parse_int(lo_text), parse_int(hi_text)
             if hi < lo:
                 raise ValueError(f"empty range {part!r}")
             values.extend(Fraction(v) for v in range(lo, hi + 1))
@@ -61,15 +62,17 @@ def _int_grid(values: list[Fraction], flag: str) -> list[int]:
 
 
 def _evaluate_to(expr, n: int, cap: int) -> PowerSeries:
-    """Evaluate expr at order n, and again at higher orders up to cap while
-    that falls short of z^n.
+    """Evaluate expr at order n plus what its divisions and powers lose as
+    far as the tree shows it (lang.order_loss, never more than they lose),
+    and again at higher orders up to cap while that falls short of z^n.
 
-    Each division by z^v loses v orders, the same v at any order above v,
-    so a short result is evaluated again with the shortfall added.  An
+    The loop is for what the tree cannot show.  A loss is the same v at any
+    order above v, so a short result, such as one whose divisor cancels to
+    a higher valuation, is evaluated again with the shortfall added.  An
     operand that is zero to its order may have its leading term above it,
     so that error doubles the order.  Every other error is final.
     """
-    order = n
+    order = min(cap, n + order_loss(expr))
     while True:
         try:
             result = evaluate(expr, order)

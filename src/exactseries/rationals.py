@@ -21,7 +21,8 @@ def digit_limit_error(digits: int) -> str | None:
     return None
 
 
-def _int(text: str) -> int:
+def parse_int(text: str) -> int:
+    """int(text), with the digit-count error over the digit limit."""
     try:
         return int(text)
     except ValueError:
@@ -40,10 +41,10 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if "/" in text:
         num, _, den = text.partition("/")
-        if (q := _int(den)) == 0:
+        if (q := parse_int(den)) == 0:
             raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(_int(num), q)
-    return Fraction(_int(text))
+        return Fraction(parse_int(num), q)
+    return Fraction(parse_int(text))
 
 
 def format_rational(value: Fraction) -> str:

@@ -57,7 +57,7 @@ class PowerSeries:
 def series(coeffs: Iterable[Fraction | int]) -> PowerSeries:
     """Build a series from an iterable of rationals (or ints)."""
     cs = [Fraction(c) for c in coeffs]
-    den = math.lcm(*[c.denominator for c in cs])
+    den = functools.reduce(math.lcm, [c.denominator for c in cs], 1)
     return PowerSeries([c.numerator * (den // c.denominator) for c in cs], den)
 
 

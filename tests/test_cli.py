@@ -16,6 +16,7 @@ from exactseries.lang import EvalError, evaluate, parse_text, pretty
 from exactseries.rationals import format_rational
 from exactseries.series import (
     SeriesDomainError,
+    ZeroToOrderError,
     coefficient,
     constant,
     identity_z,
@@ -77,17 +78,22 @@ def decimal_digits(n: int) -> str:
     return str(n) + "".join(reversed(chunks))
 
 
-@pytest.fixture
-def orders(monkeypatch):
-    """The orders at which the CLI evaluates an expression, in call order."""
+def record_orders(patch: pytest.MonkeyPatch) -> list[int]:
+    """The orders at which the CLI evaluates an expression, in call order,
+    as a list that fills while patch is active."""
     seen = []
     evaluate = cli.evaluate
 
     def recording_evaluate(tree, order):
         seen.append(order)
         return evaluate(tree, order)
-    monkeypatch.setattr(cli, "evaluate", recording_evaluate)
+    patch.setattr(cli, "evaluate", recording_evaluate)
     return seen
+
+
+@pytest.fixture
+def orders(monkeypatch):
+    return record_orders(monkeypatch)
 
 
 def reference_cmd_coeff(args) -> int:
@@ -136,12 +142,40 @@ def reference_evaluate(expr, order: int):
     raise TypeError(f"not an expression node: {expr!r}")
 
 
+def reference_evaluate_to(expr, n: int, cap: int):
+    """``cli._evaluate_to`` as it was before it read its first order off the
+    tree: it starts at order n.  Kept as the oracle for the start order,
+    which may change no output and add no evaluation."""
+    order = n
+    while True:
+        try:
+            result = cli.evaluate(expr, order)
+        except EvalError as exc:
+            if order == cap or not isinstance(exc.__cause__, ZeroToOrderError):
+                raise
+            order = min(cap, 2 * order + 1)
+            continue
+        if result.order >= n or order == cap:
+            return result
+        order = min(cap, order + n - result.order)
+
+
 def outputs(argv: list[str]) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of one in-process run."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def outputs_and_orders(argv: list[str], evaluate_to=None):
+    """outputs(argv) and the orders evaluated at, in call order, with
+    cli._evaluate_to replaced by evaluate_to if one is given."""
+    with pytest.MonkeyPatch.context() as patch:
+        seen = record_orders(patch)
+        if evaluate_to is not None:
+            patch.setattr(cli, "_evaluate_to", evaluate_to)
+        return outputs(argv), seen
 
 
 # Random expression trees, fully parenthesized.  The atoms include divisors
@@ -302,13 +336,15 @@ class TestCoeff:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
-        assert orders[0] == n
+        # The tree gives z-z valuation 1, so its quotient starts at n + 1.
+        assert orders[0] == n + (expr == "(z-z)/(z-z)")
         assert max(orders) == n + cli.MAX_EXTRA_ORDERS
 
     @pytest.mark.parametrize("expr", ["1/z", "2^(1/2)", "(z+z^2)^(1/2)"])
     def test_final_errors_are_not_retried(self, expr, orders, capsys):
         assert run(["coeff", expr, "--n", "2"]) == 2
-        assert orders == [2]
+        # 1/z starts at n + 1, for its divisor's valuation 1.
+        assert orders == [3 if expr == "1/z" else 2]
         assert capsys.readouterr().err.count("\n") == 1
 
     def test_plain_expression_evaluates_once_at_order_n(self, orders, capsys):
@@ -322,9 +358,49 @@ class TestCoeff:
         assert err == "error: coefficient 5 outside truncation range 0..3\n"
 
     def test_order_caps_the_retry_loop(self, orders, capsys):
-        assert run(["coeff", "z^10/z^10", "--n", "5", "--order", "40"]) == 0
+        # The tree gives (1+z^10)-1 valuation 0, so the retry loop finds the
+        # ten orders its division loses.
+        assert run(["coeff", "z^10/((1+z^10)-1)", "--n", "5",
+                    "--order", "40"]) == 0
         assert capsys.readouterr().out == "0\n"
         assert orders == [5, 11, 15]
+
+    @pytest.mark.parametrize("expr, first, value", [
+        ("(1-(1-4*z)^(1/2))/(2*z)", 6, "42"),
+        ("(1-(1-4*z)^(1/2))/(-2*z)", 6, "-42"),
+        ("z^10/z^10", 15, "0"),
+        ("(z^10)^(1/2)", 10, "1"),
+        ("(z^10)^0", 5, "0"),
+    ])
+    def test_start_order_is_read_from_the_tree(self, expr, first, value,
+                                               orders, capsys):
+        # n plus what the tree shows the divisions and powers to lose.
+        assert run(["coeff", expr, "--n", "5"]) == 0
+        assert capsys.readouterr() == (value + "\n", "")
+        assert orders == [first]
+
+    @given(expr=st.one_of(expressions, scalar_expressions),
+           n=st.integers(0, 12), extra=st.none() | st.integers(0, 40),
+           as_json=st.booleans())
+    @example(expr="(1-(1-(4*z))^(1/2))/(2*z)", n=5, extra=None, as_json=False)
+    @example(expr="(z^10/z^10)", n=5, extra=8, as_json=False)
+    @example(expr="(z/((1+z)-1))", n=3, extra=None, as_json=False)
+    @example(expr="((z^10)^0)", n=5, extra=None, as_json=False)
+    @example(expr="(1/((1+z)-1-z))", n=3, extra=40, as_json=True)
+    @settings(max_examples=300, deadline=None)
+    def test_start_order_changes_no_output_and_adds_no_work(self, expr, n,
+                                                            extra, as_json):
+        argv = ["coeff", expr, "--n", str(n)]
+        argv += [] if extra is None else ["--order", str(n + extra)]
+        argv += ["--json"] if as_json else []
+        expected, reference = outputs_and_orders(argv, reference_evaluate_to)
+        got, orders = outputs_and_orders(argv)
+        assert got == expected
+        assert len(orders) <= len(reference)
+        # A final error ends both at their first order, and the tree may
+        # start this one higher, as for 1/z.
+        if got[0] == 0:
+            assert orders[0] <= reference[-1]
 
     def test_high_order_is_not_evaluated_when_n_suffices(self, orders, capsys):
         assert run(["coeff", "z", "--n", "1", "--order", "1000000"]) == 0
@@ -504,6 +580,17 @@ class TestJsonErrors:
         huge = "1/" + "3" * (limit + 1)
         assert self.error(["verify", "vandermonde", "--m", "1", "--n", "0",
                            "--c", "0", flag, huge, "--json"], capsys) == {
+            "kind": "ValueError",
+            "message": f"integer of {limit + 1} digits is over the limit of "
+                       f"{limit} digits"}
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("grid", ["0..{huge}", "{huge}..0", "1,0..{huge}"])
+    def test_range_bound_over_the_digit_limit(self, grid, capsys):
+        limit = sys.get_int_max_str_digits()
+        huge = "9" * (limit + 1)
+        assert self.error(["verify", "log-dual", "--n", grid.format(huge=huge),
+                           "--c", "0", "--json"], capsys) == {
             "kind": "ValueError",
             "message": f"integer of {limit + 1} digits is over the limit of "
                        f"{limit} digits"}

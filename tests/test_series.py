@@ -719,6 +719,32 @@ def test_log_geometric_leaves_allocated_blocks_flat():
     assert grown < 500
 
 
+def test_series_leaves_allocated_blocks_flat():
+    # As in log_geometric, math.lcm(*denominators) of 20 coefficients left
+    # an argument tuple of length 20 behind on each call: about 2000 blocks
+    # over these calls.  The results are kept, so that their own stored
+    # tuples of length 20 are never freed; the same series built from its
+    # integers is the baseline.
+    coeffs = [Fraction(1, k + 1) for k in range(20)]
+    den = series(coeffs).den
+
+    def grown(build) -> int:
+        kept = []
+        gc.collect()
+        gc.disable()
+        try:
+            before = sys.getallocatedblocks()
+            for _ in range(3000):
+                kept.append(build())
+            return sys.getallocatedblocks() - before
+        finally:
+            gc.enable()
+
+    direct = grown(lambda: PowerSeries([den // k for k in range(1, 21)],
+                                       den // 1))
+    assert grown(lambda: series(coeffs)) - direct < 500
+
+
 # ------------------------------------------------- reference fraction_pow
 # fraction_pow as it was on Fractions, before the exponent and the bit limit
 # moved to integers: the oracle for that arithmetic, its errors and their
