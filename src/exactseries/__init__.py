@@ -2,7 +2,7 @@
 truncated power series, and multi-route verification of binomial
 convolution and logarithmic-series identities."""
 
-from .binomial import BinomialSymbol, binom, complement, harmonic
+from .binomial import binom, harmonic
 from .series import (
     PowerSeries,
     binomial_series,
@@ -25,9 +25,7 @@ from .identities import (
 )
 
 __all__ = [
-    "BinomialSymbol",
     "binom",
-    "complement",
     "harmonic",
     "PowerSeries",
     "ps_add",

@@ -14,13 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-
-
-class ComplementError(ValueError):
-    """Raised when the symmetry rewrite C(p, q) -> C(p, p-q) is requested
-    outside its domain of validity (p a nonnegative integer, 0 <= q <= p)."""
 
 
 def binom(upper: Fraction | int, lower: int) -> Fraction:
@@ -36,35 +30,6 @@ def binom(upper: Fraction | int, lower: int) -> Fraction:
     for i in range(1, lower + 1):
         acc = acc * (upper - i + 1) / i
     return acc
-
-
-@dataclass(frozen=True)
-class BinomialSymbol:
-    """The pair (upper, lower) naming one binomial coefficient."""
-
-    upper: Fraction
-    lower: int
-
-
-def complement(sym: BinomialSymbol) -> BinomialSymbol:
-    """Rewrite C(p, q) as C(p, p-q).
-
-    Valid only for nonnegative integer p with 0 <= q <= p; everywhere else
-    the rewrite changes the value, so it is rejected rather than applied.
-    """
-    upper = Fraction(sym.upper)
-    if upper.denominator != 1 or upper < 0:
-        raise ComplementError(
-            f"complement rewrite needs a nonnegative integer upper index, "
-            f"got {upper}"
-        )
-    p = int(upper)
-    if not 0 <= sym.lower <= p:
-        raise ComplementError(
-            f"complement rewrite needs 0 <= lower <= upper, "
-            f"got lower={sym.lower}, upper={p}"
-        )
-    return BinomialSymbol(upper, p - sym.lower)
 
 
 def harmonic(n: int) -> Fraction:

@@ -70,7 +70,10 @@ def _evaluate_to(expr, n: int, cap: int) -> PowerSeries:
     order above v, so a short result, such as one whose divisor cancels to
     a higher valuation, is evaluated again with the shortfall added.  An
     operand that is zero to its order may have its leading term above it,
-    so that error doubles the order.  Every other error is final.
+    so that error doubles the order.  Every other error is final: it ends
+    the search, so the error reported is the first one met at the lowest
+    order tried.  One evaluation at cap may meet another one first, such
+    as a power over the bit limit whose base is zero to the lower order.
     """
     order = min(cap, n + order_loss(expr))
     while True:

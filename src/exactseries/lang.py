@@ -186,10 +186,11 @@ class _Parser:
             "log supports only the shapes log(1/(1-z)) and log(1-z)", pos)
 
 
-def parse(tokens: list[Token], length: int | None = None):
-    if length is None:
-        length = tokens[-1].pos + len(tokens[-1].text) if tokens else 0
-    p = _Parser(tokens, length)
+def parse_text(text: str):
+    """The AST of text.  A LexError or ParseError gives its offset in text,
+    and an expression nested too deeply for Python's stack is a
+    ParseError at the offset the parser had reached."""
+    p = _Parser(tokenize(text), len(text))
     try:
         node = p.parse_chain()
     except RecursionError:
@@ -197,10 +198,6 @@ def parse(tokens: list[Token], length: int | None = None):
     if (tok := p.peek()).kind != "END":
         raise ParseError(f"trailing input {tok.text!r}", tok.pos)
     return node
-
-
-def parse_text(text: str):
-    return parse(tokenize(text), len(text))
 
 
 # ---------------------------------------------------------------- printer

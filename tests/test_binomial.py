@@ -4,13 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from exactseries.binomial import (
-    BinomialSymbol,
-    ComplementError,
-    binom,
-    complement,
-    harmonic,
-)
+from exactseries.binomial import binom, harmonic
 
 
 def factorial_binom(n: int, q: int) -> Fraction:
@@ -68,31 +62,6 @@ rationals = st.fractions(
 @given(p=rationals, q=st.integers(min_value=1, max_value=12))
 def test_pascal_recurrence(p, q):
     assert binom(p, q) == binom(p - 1, q - 1) + binom(p - 1, q)
-
-
-class TestComplement:
-    def test_swaps_lower_index(self):
-        out = complement(BinomialSymbol(Fraction(7), 2))
-        assert out == BinomialSymbol(Fraction(7), 5)
-        assert binom(7, 2) == binom(7, 5) == 21
-
-    def test_lower_zero(self):
-        for n in range(6):
-            out = complement(BinomialSymbol(Fraction(n), 0))
-            assert out.lower == n
-            assert binom(out.upper, out.lower) == 1 == binom(n, 0)
-
-    def test_rejects_negative_upper(self):
-        with pytest.raises(ComplementError):
-            complement(BinomialSymbol(Fraction(-1), 2))
-
-    def test_rejects_rational_upper(self):
-        with pytest.raises(ComplementError):
-            complement(BinomialSymbol(Fraction(1, 2), 0))
-
-    def test_rejects_lower_out_of_range(self):
-        with pytest.raises(ComplementError):
-            complement(BinomialSymbol(Fraction(3), 5))
 
 
 class TestHarmonic:

@@ -99,7 +99,10 @@ def orders(monkeypatch):
 def reference_cmd_coeff(args) -> int:
     """``coeff --order K`` as one evaluation at order K, kept as the oracle
     for K as the cap of the retry loop: where the loop stops below K, it
-    must print what order K gives."""
+    must print what order K gives.  That holds where no power is over the
+    bit limit: the loop reports the first error met at the lowest order
+    tried, and a power whose base is zero to that order is no error there
+    but may be over the limit at K."""
     expr = parse_text(args.expr)
     if args.order < args.n:
         raise ValueError(f"--order {args.order} is below --n {args.n}")
@@ -413,6 +416,20 @@ class TestCoeff:
         assert run(["coeff", "(3*z^10)^99999999", "--n", "5",
                     "--order", "40"]) == 0
         assert capsys.readouterr().out == "0\n"
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_first_error_at_the_lowest_order_is_reported(self, as_json,
+                                                         orders, capsys):
+        # At order 1 z^60 is zero to its order, so the power is 0 and 1/z
+        # raises; one evaluation at order 64 would hit the bit limit first.
+        argv = ["coeff", "(3*z^60)^99999999+1/z", "--n", "0", "--order", "64"]
+        assert run(argv + ["--json"] * as_json) == 2
+        message = ("in (1 / z): division would produce negative powers of z:"
+                   " denominator has valuation 1, numerator does not")
+        err = (json.dumps({"kind": "EvalError", "message": message})
+               if as_json else f"error: {message}")
+        assert capsys.readouterr() == ("", err + "\n")
+        assert orders == [1]
 
     @pytest.mark.parametrize("order", [[], ["--order", "5"]])
     def test_negative_n_exits_2(self, order, capsys):

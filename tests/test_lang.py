@@ -11,7 +11,6 @@ from exactseries.lang import (
     ParseError,
     evaluate,
     order_loss,
-    parse,
     parse_text,
     pretty,
     tokenize,
@@ -133,9 +132,6 @@ class TestParse:
         expr = parse_text("-z^2*3")
         assert expr == parse_text("(-(z^2))*3")
 
-    def test_parse_accepts_token_list(self):
-        assert parse(tokenize("1+z")) == ("+", ("lit", Fraction(1)), ("z",))
-
     @pytest.mark.parametrize("text", [
         "(" * 2000 + "z" + ")" * 2000,
         "-" * 2000 + "z",
@@ -208,13 +204,6 @@ def test_error_contract(text, kind, message, pos):
         parse_text(text)
     assert (type(err.value), str(err.value), err.value.pos) == (
         kind, message, pos)
-
-
-def test_token_list_without_length_ends_at_its_last_token():
-    with pytest.raises(ParseError, match="end of input at offset 2$"):
-        parse(tokenize("1+  "))
-    with pytest.raises(ParseError, match="end of input at offset 0$"):
-        parse([])
 
 
 ROUND_TRIP_CORPUS = [
