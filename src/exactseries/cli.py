@@ -116,7 +116,6 @@ def _report_json(report: identities.IdentityReport) -> dict:
         "params": params,
         "routes": {k: format_rational(v) for k, v in report.route_values.items()},
         "verdict": report.verdict,
-        "notes": list(report.notes),
     }
 
 
@@ -175,9 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_coeff = sub.add_parser("coeff", help="coefficient of z^n in an expression")
     p_coeff.add_argument("expr")
-    p_coeff.add_argument("--n", type=int, required=True,
+    p_coeff.add_argument("--n", type=parse_int, required=True,
                          help="print the coefficient of z^N")
-    p_coeff.add_argument("--order", type=int, default=None,
+    p_coeff.add_argument("--order", type=parse_int, default=None,
                          help="highest order to evaluate at "
                               f"(default: n + {MAX_EXTRA_ORDERS})")
     p_coeff.add_argument("--json", action="store_true")
@@ -194,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="numeric tables of worked cases")
     p_table.add_argument("family", choices=["euler"])
     p_table.add_argument("--case", required=True, choices=sorted(TABLE_CASES))
-    p_table.add_argument("--n-max", type=int, required=True, dest="n_max")
+    p_table.add_argument("--n-max", type=parse_int, required=True, dest="n_max")
     fmt = p_table.add_mutually_exclusive_group()
     fmt.add_argument("--csv", action="store_true")
     fmt.add_argument("--json", action="store_true")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -116,17 +116,14 @@ def log_rhs(n: int, c: int) -> Fraction:
 
 def log_closed(n: int, c: int) -> Fraction:
     """Closed form of the logarithmic series: harmonic(n) at c = 0, and
-    (-1)^(d-1) (d-1)! / ((n+1)...(n+d)) at c = -d for d >= 1.
-
-    The negative-c formula beyond d = 4 extrapolates the proven d <= 4
-    pattern; the verification grids cross-check it against the term-by-term
-    series.  No closed form is available for c >= 1.
+    (-1)^(d-1) (d-1)! / ((n+1)...(n+d)) at c = -d for every d >= 1, by
+    Concrete Mathematics (5.41), sum_k C(n,k) (-1)^k / (x+k) =
+    n! / (x (x+1) ... (x+n)), at x = d.  No closed-form route for c >= 1.
     """
     _check_n(n)
     if c > 0:
-        raise ValueError(
-            f"no closed form for c={c} >= 1; use the dual-series routes"
-        )
+        raise ValueError(f"no closed-form route for c={c} >= 1; "
+                         "use the dual-series routes")
     if c == 0:
         return harmonic(n)
     d = -c
@@ -142,7 +139,6 @@ class IdentityReport:
     params: dict
     route_values: dict
     verdict: bool
-    notes: tuple[str, ...] = field(default_factory=tuple)
 
 
 # Each identity's routes in print order, label -> route function name.  The
@@ -159,19 +155,15 @@ IDENTITIES = {
 def _reports(identity: str, names: dict, points: Iterable[dict]
              ) -> list[IdentityReport]:
     """One report per point, a dict of the route arguments in order: every
-    route in ``names`` runs at it, and the verdict is that all agree.  The
-    note follows log_closed: it marks where that route ran at c < -4."""
+    route in ``names`` runs at it, and the verdict is that all agree."""
     routes = {label: globals()[name] for label, name in names.items()}
-    extrapolates = "log_closed" in names.values()
     reports = []
     for params in points:
         values = {label: route(*params.values())
                   for label, route in routes.items()}
         first, *rest = values.values()
-        notes = (("closed form extrapolated beyond proven range",)
-                 if extrapolates and params["c"] < -4 else ())
         reports.append(IdentityReport(identity, params, values,
-                                      all(v == first for v in rest), notes))
+                                      all(v == first for v in rest)))
     return reports
 
 

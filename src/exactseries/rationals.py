@@ -22,7 +22,10 @@ def digit_limit_error(digits: int) -> str | None:
 
 
 def parse_int(text: str) -> int:
-    """int(text), with the digit-count error over the digit limit."""
+    """int(text) for ASCII text without ``_``, as the lexer reads literals,
+    with the digit-count error over the digit limit."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
     try:
         return int(text)
     except ValueError:

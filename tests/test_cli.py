@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -35,7 +37,7 @@ REPORT_SCHEMA = {
     "type": "array",
     "items": {
         "type": "object",
-        "required": ["identity", "params", "routes", "verdict", "notes"],
+        "required": ["identity", "params", "routes", "verdict"],
         "additionalProperties": False,
         "properties": {
             "identity": {"type": "string"},
@@ -56,7 +58,6 @@ REPORT_SCHEMA = {
                 },
             },
             "verdict": {"type": "boolean"},
-            "notes": {"type": "array", "items": {"type": "string"}},
         },
     },
 }
@@ -255,6 +256,62 @@ class TestParseGrid:
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
             parse_grid("3..1")
+
+
+# Integer flags read ASCII digits only, as expression literals do: int()
+# alone would take Arabic-Indic digits and a "_" separator.
+def int_error(text: str) -> str:
+    return f"error: invalid literal for int() with base 10: {text!r}"
+
+
+def usage_error(command: str, flag: str, text: str) -> str:
+    return (f"exactseries {command}: error: argument {flag}: "
+            f"invalid parse_int value: {text!r}")
+
+
+@pytest.mark.parametrize("argv, last_line", [
+    (["verify", "log-dual", "--n", "\u0663", "--c", "0"], int_error("\u0663")),
+    (["verify", "log-dual", "--n", "1_0", "--c", "0"], int_error("1_0")),
+    (["verify", "log-dual", "--n", "0..\u0663", "--c", "0"],
+     int_error("\u0663")),
+    (["verify", "vandermonde", "--m", "\u0661/2", "--n", "2", "--c", "0"],
+     int_error("\u0661")),
+    (["coeff", "z", "--n", "\u0663"], usage_error("coeff", "--n", "\u0663")),
+    (["coeff", "z", "--n", "1_0"], usage_error("coeff", "--n", "1_0")),
+    (["coeff", "z", "--n", "1", "--order", "\u0663"],
+     usage_error("coeff", "--order", "\u0663")),
+    (["table", "euler", "--case", "c0", "--n-max", "\u0662", "--csv"],
+     usage_error("table", "--n-max", "\u0662")),
+])
+def test_integer_flags_are_ascii(argv, last_line):
+    code, out, err = outputs(argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == last_line
+
+
+@pytest.mark.parametrize("argv, first_line", [
+    (["coeff", "z^3", "--n=+3"], "1"),
+    (["verify", "log-dual", "--n=0", "--c=-7..3"],
+     "log_dual n=0 c=-7: lhs=1/7 rhs=1/7 ok"),
+    (["verify", "log-dual", "--n", " 0 .. 1 ", "--c", " -1 , 2 "],
+     "log_dual n=0 c=-1: lhs=1 rhs=1 ok"),
+    (["table", "euler", "--case", "c0", "--n-max=+1", "--csv"],
+     "n,lhs,rhs,closed"),
+])
+def test_signed_and_spaced_integers_parse(argv, first_line):
+    code, out, err = outputs(argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == first_line
+
+
+def test_readme_coeff_commands_print_their_values():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    # Lines "exactseries coeff ...  # value": a command and what it prints.
+    commands = re.findall(r"^exactseries (coeff .*\S) +# (.+)$", readme,
+                          re.MULTILINE)
+    assert len(commands) >= 3
+    for command, value in commands:
+        assert outputs(shlex.split(command)) == (0, value + "\n", ""), command
 
 
 class TestCoeff:
@@ -658,14 +715,15 @@ class TestVerifyCommand:
         assert code == 0
         reports = json.loads(capsys.readouterr().out)
         jsonschema.validate(reports, REPORT_SCHEMA)
-        flagged = [r for r in reports if r["notes"]]
-        assert all(r["params"]["c"] < -4 for r in flagged)
-        assert flagged
+        assert len(reports) == 7 * 7
+        assert all(r.keys() == {"identity", "params", "routes", "verdict"}
+                   for r in reports)
 
     def test_log_closed_rejects_positive_c(self, capsys):
         assert run(["verify", "log-closed", "--n", "0..3", "--c", "1"]) == 2
         assert capsys.readouterr().err == (
-            "error: no closed form for c=1 >= 1; use the dual-series routes\n")
+            "error: no closed-form route for c=1 >= 1; "
+            "use the dual-series routes\n")
 
     def test_vandermonde_rejects_negative_c(self):
         assert run(["verify", "vandermonde", "--m", "1",
