@@ -17,7 +17,7 @@ from . import identities
 from .lang import (EvalError, LexError, ParseError, evaluate, order_loss,
                    parse_text)
 from .rationals import format_rational, parse_int, parse_rational
-from .series import PowerSeries, ZeroToOrderError, coefficient
+from .series import MAX_ORDER, PowerSeries, ZeroToOrderError, coefficient
 
 TABLE_CASES = {
     "c0": 0,
@@ -74,9 +74,13 @@ def _evaluate_to(expr, n: int, cap: int) -> PowerSeries:
     the search, so the error reported is the first one met at the lowest
     order tried.  One evaluation at cap may meet another one first, such
     as a power over the bit limit whose base is zero to the lower order.
+    An order above series.MAX_ORDER is refused before it is evaluated.
     """
     order = min(cap, n + order_loss(expr))
     while True:
+        if order > MAX_ORDER:
+            raise ValueError(f"evaluation order {order} is over the limit "
+                             f"of {MAX_ORDER}")
         try:
             result = evaluate(expr, order)
         except EvalError as exc:
@@ -163,9 +167,11 @@ def _cmd_table(args) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process.  Each command runs
-    the module's ``_cmd_<command>``, looked up by name at dispatch."""
+def build_parser() -> tuple[argparse.ArgumentParser,
+                            dict[str, argparse.ArgumentParser]]:
+    """The argument parser and its map from command name to subparser,
+    built once per process.  Each command runs the module's
+    ``_cmd_<command>``, looked up by name at dispatch."""
     parser = argparse.ArgumentParser(
         prog="exactseries",
         description="Exact binomial-coefficient series identities.",
@@ -198,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--csv", action="store_true")
     fmt.add_argument("--json", action="store_true")
 
-    return parser
+    return parser, sub.choices
 
 
 def _fail(args, exc: Exception, message: str) -> int:
@@ -216,8 +222,18 @@ def _fail(args, exc: Exception, message: str) -> int:
 
 
 def run(argv: list[str]) -> int:
+    parser, commands = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        if argv and argv[0] in commands:
+            # The command's own parser alone: the top-level parse_args would
+            # run it too, after matching the command.  Leftovers get the
+            # top level's message, as parse_args gives them.
+            args, extras = commands[argv[0]].parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            args.command = argv[0]
+        else:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
     try:
@@ -232,6 +248,13 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
+    # A reader that closes stdout early, as head does, ends the command by
+    # SIGPIPE, as it ends other tools, instead of an error report.  Python
+    # ignores SIGPIPE, so each write would raise BrokenPipeError.  Imported
+    # here, so that importing this module stays as cheap as it was.
+    import signal
+    if hasattr(signal, "SIGPIPE"):  # not on Windows
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))
 
 

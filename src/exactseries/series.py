@@ -237,6 +237,11 @@ def _int_nth_root(value: int, d: int) -> int | None:
 # gcd is quadratic, so Fraction arithmetic on much larger values would hang.
 MAX_POWER_BITS = 1 << 16
 
+# Highest order the command line evaluates at.  A series holds order + 1
+# integers, and its work grows faster: (1-z)^(1/2) takes about 4 s and 60 MB
+# at this order, and about seven times the time per doubling of it.
+MAX_ORDER = 1 << 13
+
 
 def fraction_pow(base: Fraction, exponent: Fraction) -> Fraction:
     """base**exponent for a nonzero base when the result is rational;

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ from exactseries.cli import parse_grid, run
 from exactseries.lang import EvalError, evaluate, parse_text, pretty
 from exactseries.rationals import format_rational
 from exactseries.series import (
+    MAX_ORDER,
     SeriesDomainError,
     ZeroToOrderError,
     coefficient,
@@ -164,12 +166,92 @@ def reference_evaluate_to(expr, n: int, cap: int):
         order = min(cap, order + n - result.order)
 
 
-def outputs(argv: list[str]) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of one in-process run."""
+def outputs(argv: list[str], entry=run) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process run of entry."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(argv)
+        code = entry(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def reference_run(argv: list[str]) -> int:
+    """``cli.run`` as it was before it dispatched on argv[0]: the top-level
+    parse_args, which matches the command, runs its parser and then checks
+    for leftovers, and then the same ``_cmd_*`` call.  Kept as the oracle
+    for every usage, help and error text of the dispatch."""
+    parser, _ = cli.build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return 0 if exc.code == 0 else 2
+    try:
+        return getattr(cli, f"_cmd_{args.command}")(args)
+    except (ValueError, IndexError) as exc:
+        return cli._fail(args, exc, str(exc))
+    except RecursionError as exc:
+        return cli._fail(args, exc, "expression nested too deeply")
+    except Exception as exc:
+        return cli._fail(args, exc, f"unexpected {type(exc).__name__}: {exc}")
+
+
+# Argv shapes where the command's own parser and the top-level one could
+# part: help, missing and unknown commands and flags, leftovers, and the
+# argparse rules on abbreviations, "--", repeats and leading dashes.
+DISPATCH_ARGVS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["-h", "coeff"],
+    ["--help", "verify"],
+    ["-h", "table"],
+    ["coeff", "-h"],
+    ["verify", "--help"],
+    ["table", "-h"],
+    ["coeff", "z", "--n", "1", "--help"],
+    ["nonsense", "--n", "0"],
+    ["--bogus", "coeff", "z", "--n", "1"],
+    ["coeff"],
+    ["coeff", "z"],
+    ["verify", "log-dual", "--n", "0"],
+    ["table", "euler", "--case", "c0"],
+    ["coeff", "z", "--n", "1", "extra"],
+    ["verify", "log-dual", "--n", "0", "--c", "0", "extra"],
+    ["table", "euler", "--case", "c0", "--n-max", "1", "extra", "more"],
+    ["coeff", "z", "--n", "1", "--bogus"],
+    ["verify", "log-dual", "--n", "0", "--c", "0", "--bogus=1"],
+    ["table", "euler", "--case", "c0", "--n-max", "1", "--bogus", "-x"],
+    ["coeff", "z", "--bogus", "--n", "1", "extra"],
+    ["coeff", "z^3", "--n", "3", "--ord", "5"],
+    ["coeff", "z^3", "--n", "3", "--o", "5"],
+    ["coeff", "--n", "1", "--", "-z"],
+    ["coeff", "z", "--n", "1", "--n", "2"],
+    ["coeff", "-z", "--n", "1"],
+    ["coeff", "z", "--n"],
+    ["coeff", "z", "--n", "x"],
+    ["coeff", "z^2/(1-z)^4", "--n=5", "--json"],
+    ["coeff", "1/z", "--n", "0", "--json"],
+    ["verify", "vandermonde", "--m", "1/2", "--n", "0..2", "--c", "0..1"],
+    ["verify", "log-dual", "--n", "0..2", "--c=-1..1", "--json"],
+    ["verify", "nonsense", "--n", "0", "--c", "0"],
+    ["table", "euler", "--case", "c9", "--n-max", "2"],
+    ["table", "euler", "--case", "cm1", "--n-max", "2", "--csv", "--json"],
+    ["table", "euler", "--case", "cm1", "--n-max", "2", "--json"],
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=shlex.join)
+def test_dispatch_matches_the_top_level_parse(argv):
+    assert outputs(argv) == outputs(argv, reference_run)
+
+
+def test_coeff_request_skips_the_top_level_parse(monkeypatch):
+    parser, _ = cli.build_parser()
+
+    def unused(*args, **kwargs):
+        raise AssertionError("the top-level parser parsed a coeff request")
+    # parse_args calls parse_known_args, so this catches both.
+    monkeypatch.setattr(parser, "parse_known_args", unused)
+    assert outputs(["coeff", "z^2/(1-z)^4", "--n", "5"]) == (0, "20\n", "")
 
 
 def outputs_and_orders(argv: list[str], evaluate_to=None):
@@ -466,6 +548,37 @@ class TestCoeff:
         assert run(["coeff", "z", "--n", "1", "--order", "1000000"]) == 0
         assert capsys.readouterr().out == "1\n"
         assert orders == [1]
+
+    @pytest.mark.parametrize("argv, order", [
+        (["z", "--n", "1000000000"], 1000000000),
+        (["1/z", "--n", str(MAX_ORDER)], MAX_ORDER + 1),
+        (["z", "--n", str(MAX_ORDER + 1), "--order", "1000000000"],
+         MAX_ORDER + 1),
+    ])
+    def test_order_over_the_limit_is_refused_unevaluated(self, argv, order,
+                                                         monkeypatch, capsys):
+        def unreachable(tree, order):
+            raise AssertionError(f"evaluated at order {order}")
+        monkeypatch.setattr(cli, "evaluate", unreachable)
+        assert run(["coeff", *argv]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: evaluation order {order} is over the limit of "
+                f"{MAX_ORDER}\n")
+
+    def test_order_limit_is_evaluated(self, orders, capsys):
+        assert run(["coeff", "z", "--n", str(MAX_ORDER)]) == 0
+        assert capsys.readouterr() == ("0\n", "")
+        assert orders == [MAX_ORDER]
+
+    def test_retry_loop_stops_at_the_order_limit(self, orders, capsys):
+        # The divisor is zero to every order, so the loop doubles the order
+        # until the next one is over the limit, below the --order cap.
+        assert run(["coeff", "1/((1+z)-1-z)", "--n", "3",
+                    "--order", "1000000"]) == 2
+        assert orders == [2**k - 1 for k in range(2, 14)]
+        assert capsys.readouterr().err == (
+            f"error: evaluation order {2**14 - 1} is over the limit of "
+            f"{MAX_ORDER}\n")
 
     def test_power_over_bit_limit_above_the_order_needed(self, capsys):
         # (3z^10)^99999999 is zero to order 5, so its z^5 coefficient is 0;
@@ -813,15 +926,34 @@ def test_golden_verify(name, suffix, capsys):
     assert capsys.readouterr().out == expected
 
 
-def test_console_entry_point_runs():
-    # The child imports the checkout's package, installed or not.
+def child_env() -> dict[str, str]:
+    """The environment of a child that imports the checkout's package,
+    installed or not."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "exactseries.cli", "coeff",
          "z^2/(1-z)^4", "--n", "5"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == "20\n"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
+def test_closed_stdout_ends_the_command_by_sigpipe():
+    # About 129 kB of JSON, more than a pipe holds, so the command is still
+    # writing when the reader closes the pipe after one line.
+    with subprocess.Popen(
+        [sys.executable, "-m", "exactseries.cli", "verify", "log-dual",
+         "--n", "0..60", "--c=-7..3", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+    ) as proc:
+        assert proc.stdout.readline() == b"[\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == -signal.SIGPIPE
+        assert proc.stderr.read() == b""
