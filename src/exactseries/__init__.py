@@ -2,6 +2,7 @@
 truncated power series, and multi-route verification of binomial
 convolution and logarithmic-series identities."""
 
+from . import identities
 from .binomial import binom, harmonic
 from .series import (
     PowerSeries,
@@ -14,7 +15,6 @@ from .series import (
     ps_mul,
 )
 from .identities import (
-    IdentityReport,
     log_closed,
     log_lhs,
     log_rhs,
@@ -23,6 +23,14 @@ from .identities import (
     vandermonde_sum,
     verify,
 )
+
+
+def __getattr__(name: str):
+    # IdentityReport is imported on first use (PEP 562), by identities.
+    if name == "IdentityReport":
+        return identities.IdentityReport
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "binom",

@@ -112,26 +112,28 @@ def _cmd_coeff(args) -> int:
     return 0
 
 
-def _report_json(report: identities.IdentityReport) -> dict:
+def _row_json(identity: str, params: dict, route_values: dict,
+              verdict: bool) -> dict:
     params = {k: (format_rational(v) if isinstance(v, Fraction) else v)
-              for k, v in report.params.items()}
+              for k, v in params.items()}
     return {
-        "identity": report.identity,
+        "identity": identity,
         "params": params,
-        "routes": {k: format_rational(v) for k, v in report.route_values.items()},
-        "verdict": report.verdict,
+        "routes": {k: format_rational(v) for k, v in route_values.items()},
+        "verdict": verdict,
     }
 
 
 def _cmd_verify(args) -> int:
     identity = args.identity.replace("-", "_")
-    ns = _int_grid(parse_grid(args.n), "--n")
-    cs = _int_grid(parse_grid(args.c), "--c")
+    # Before any grid is built: a range of --n or --c may be large.
     if args.m is not None and identity != "vandermonde":
         raise ValueError(f"--m does not apply to {args.identity}")
+    ns = _int_grid(parse_grid(args.n), "--n")
+    cs = _int_grid(parse_grid(args.c), "--c")
     ms = [Fraction(0)] if args.m is None else parse_grid(args.m)
-    reports = [_report_json(r)
-               for r in identities.verify(identity, ms=ms, ns=ns, cs=cs)]
+    reports = [_row_json(identity, *row)
+               for row in identities.verify_rows(identity, ms, ns, cs)]
     if args.json:
         print(json.dumps(reports, indent=2))
     else:
@@ -147,8 +149,8 @@ def _cmd_table(args) -> int:
     c = TABLE_CASES[args.case]
     if args.n_max < 0:
         raise ValueError(f"--n-max must be >= 0, got {args.n_max}")
-    reports = [_report_json(r)
-               for r in identities.log_table(c, range(args.n_max + 1))]
+    reports = [_row_json("log_table", *row)
+               for row in identities.log_table_rows(c, range(args.n_max + 1))]
     rows = [{"n": r["params"]["n"], "lhs": r["routes"]["lhs"],
              "rhs": r["routes"]["rhs"],
              "closed": r["routes"].get("closed", "-")} for r in reports]

@@ -13,9 +13,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .binomial import binom, harmonic
 from .series import binomial_series, coefficient, ps_monomial_shift
@@ -131,14 +130,13 @@ def log_closed(n: int, c: int) -> Fraction:
     return Fraction((-1) ** (d - 1) * math.factorial(d - 1), denom)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Outcome of verifying one identity at one parameter point."""
-
-    identity: str
-    params: dict
-    route_values: dict
-    verdict: bool
+def __getattr__(name: str):
+    # The report type is imported on first use (PEP 562), as verify and
+    # log_table import it: see exactseries.report.
+    if name == "IdentityReport":
+        from .report import IdentityReport
+        return IdentityReport
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # Each identity's routes in print order, label -> route function name.  The
@@ -152,30 +150,29 @@ IDENTITIES = {
 }
 
 
-def _reports(identity: str, names: dict, points: Iterable[dict]
-             ) -> list[IdentityReport]:
-    """One report per point, a dict of the route arguments in order: every
-    route in ``names`` runs at it, and the verdict is that all agree."""
+def _reports(names: dict, points: Iterable[dict]
+             ) -> Iterator[tuple[dict, dict, bool]]:
+    """One row (params, route_values, verdict) per point, a dict of the
+    route arguments in order: every route in ``names`` runs at it, and the
+    verdict is that all agree."""
     routes = {label: globals()[name] for label, name in names.items()}
-    reports = []
     for params in points:
         values = {label: route(*params.values())
                   for label, route in routes.items()}
         first, *rest = values.values()
-        reports.append(IdentityReport(identity, params, values,
-                                      all(v == first for v in rest)))
-    return reports
+        yield params, values, all(v == first for v in rest)
 
 
-def verify(
+def verify_rows(
     identity: str,
     ms: Sequence[Fraction | int] = (Fraction(0),),
     ns: Iterable[int] = (),
     cs: Iterable[int] = (),
-) -> list[IdentityReport]:
+) -> Iterator[tuple[dict, dict, bool]]:
     """Evaluate every route of ``identity`` over the parameter grid, one
-    report per grid point, in grid order.  ``ms`` applies to vandermonde
-    only; the log identities take points (n, c)."""
+    row (params, route_values, verdict) per grid point, in grid order.
+    ``ms`` applies to vandermonde only; the log identities take points
+    (n, c).  An unknown identity is refused here, before any row."""
     if identity not in IDENTITIES:
         raise ValueError(
             f"unknown identity {identity!r}; choose from {tuple(IDENTITIES)}")
@@ -184,14 +181,34 @@ def verify(
                   for m, n, c in itertools.product(ms, ns, cs))
     else:
         points = ({"n": n, "c": c} for n, c in itertools.product(ns, cs))
-    return _reports(identity, IDENTITIES[identity], points)
+    return _reports(IDENTITIES[identity], points)
 
 
-def log_table(c: int, ns: Iterable[int]) -> list[IdentityReport]:
-    """Rows of the worked log-series table for shift c, one report per n:
-    the log_dual routes lhs and rhs, and log_closed's closed where a closed
+def verify(
+    identity: str,
+    ms: Sequence[Fraction | int] = (Fraction(0),),
+    ns: Iterable[int] = (),
+    cs: Iterable[int] = (),
+) -> list[IdentityReport]:
+    """``verify_rows`` as a list with one report per grid point."""
+    from .report import IdentityReport
+    return [IdentityReport(identity, *row)
+            for row in verify_rows(identity, ms, ns, cs)]
+
+
+def log_table_rows(c: int, ns: Iterable[int]
+                   ) -> Iterator[tuple[dict, dict, bool]]:
+    """Rows of the worked log-series table for shift c, one per n: the
+    log_dual routes lhs and rhs, and log_closed's closed where a closed
     form exists (c <= 0)."""
     names = dict(IDENTITIES["log_dual"])
     if c <= 0:
         names["closed"] = IDENTITIES["log_closed"]["closed"]
-    return _reports("log_table", names, ({"n": n, "c": c} for n in ns))
+    return _reports(names, ({"n": n, "c": c} for n in ns))
+
+
+def log_table(c: int, ns: Iterable[int]) -> list[IdentityReport]:
+    """``log_table_rows`` as a list of reports of identity "log_table"."""
+    from .report import IdentityReport
+    return [IdentityReport("log_table", *row)
+            for row in log_table_rows(c, ns)]

@@ -19,8 +19,8 @@ tag keeps shapes with the same fields apart, such as 1*(1+z) and 1/(1+z).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .rationals import digit_limit_error
 from .series import (
@@ -56,10 +56,8 @@ class EvalError(ValueError):
 
 # ---------------------------------------------------------------- lexer
 
-class Token(NamedTuple):
-    kind: str  # INT, NAME, END, or the operator/paren character itself
-    text: str
-    pos: int
+# kind is INT, NAME, END, or the operator/paren character itself.
+Token = namedtuple("Token", ["kind", "text", "pos"])
 
 
 def tokenize(text: str) -> list[Token]:

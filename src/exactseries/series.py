@@ -14,21 +14,23 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .binomial import binom
 from .rationals import format_rational
 
 
-@dataclass(frozen=True)
 class PowerSeries:
-    nums: tuple[int, ...]
-    den: int = 1
+    """A series whose coefficient k is nums[k]/den: immutable, compared
+    and hashed by value.  A plain class, not a frozen dataclass, so that
+    importing the package does not import ``dataclasses`` (and ``inspect``
+    with it)."""
 
-    def __post_init__(self):
-        nums, den = tuple(self.nums), self.den
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums: Iterable[int], den: int = 1):
+        nums = tuple(nums)
         if not nums:
             raise ValueError("a series stores at least the z^0 coefficient")
         if den == 0:
@@ -43,6 +45,28 @@ class PowerSeries:
             nums, den = tuple([x // g for x in nums]), den // g
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__: their default for a
+        # slotted class sets each slot with the __setattr__ above.
+        return PowerSeries, (self.nums, self.den)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.nums, self.den) == (other.nums, other.den)
+
+    def __hash__(self):
+        return hash((self.nums, self.den))
+
+    def __repr__(self):
+        return f"PowerSeries(nums={self.nums!r}, den={self.den!r})"
 
     @property
     def order(self) -> int:

@@ -846,6 +846,18 @@ class TestVerifyCommand:
         assert run(["verify", "log-dual", "--m", "1",
                     "--n", "0..3", "--c", "0"]) == 2
 
+    def test_m_on_log_identity_rejected_before_any_grid(self, monkeypatch,
+                                                         capsys):
+        # A grid such as 0..100000000 would be built in full before --m
+        # was checked, so the check must come first.
+        def unreachable(text):
+            raise AssertionError(f"grid {text!r} built before the --m check")
+        monkeypatch.setattr(cli, "parse_grid", unreachable)
+        assert run(["verify", "log-dual", "--n", "0..100000000", "--c", "0",
+                    "--m", "1"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: --m does not apply to log-dual\n")
+
     @pytest.mark.parametrize("identity", ["vandermonde", "log-dual"])
     def test_empty_m_exits_2(self, identity, capsys):
         assert run(["verify", identity, "--m", "", "--n", "0", "--c", "0"]) == 2

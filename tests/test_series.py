@@ -1,5 +1,7 @@
+import copy
 import gc
 import math
+import pickle
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -626,6 +628,37 @@ def test_constructor_rejects_empty_and_zero_denominator():
         PowerSeries(())
     with pytest.raises(ZeroDivisionError):
         PowerSeries((1,), 0)
+
+
+class TestPowerSeriesValue:
+    """What the frozen dataclass PowerSeries gave, kept by the plain class."""
+
+    def test_fields_cannot_be_set_or_deleted(self):
+        a = PowerSeries((1, 2), 3)
+        for name in ("nums", "den"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, 5)
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+        assert (a.nums, a.den) == ((1, 2), 3)
+
+    def test_equal_series_hash_equal(self):
+        a, b = PowerSeries((2, 4), 6), PowerSeries(nums=[1, 2], den=3)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, PowerSeries((1, 2))}) == 2
+        assert a != PowerSeries((1, 2, 0), 3)
+        assert a != ((1, 2), 3)
+
+    def test_repr_is_the_dataclass_text(self):
+        assert repr(PowerSeries((2, 4), -6)) == \
+            "PowerSeries(nums=(-1, -2), den=3)"
+        assert repr(constant(5, 0)) == "PowerSeries(nums=(5,), den=1)"
+
+    def test_copy_and_pickle_give_an_equal_series(self):
+        a = binomial_series(Fraction(-1, 3), 6)
+        for other in (copy.copy(a), copy.deepcopy(a),
+                      pickle.loads(pickle.dumps(a))):
+            assert type(other) is PowerSeries and other == a
 
 
 @given(data=st.data(), a=mul_operands, b=mul_operands, m=small_rationals,
