@@ -921,6 +921,17 @@ def test_golden_tables(case, capsys):
     assert capsys.readouterr().out == expected
 
 
+@pytest.mark.parametrize("case, flags, golden", [
+    ("cm2", [], "table_cm2.txt"),
+    ("c1", ["--json"], "table_c1.json"),
+])
+def test_golden_tables_plain_and_json(case, flags, golden, capsys):
+    assert run(["table", "euler", "--case", case, "--n-max", "7",
+                *flags]) == 0
+    expected = (GOLDEN_DIR / golden).read_text()
+    assert capsys.readouterr().out == expected
+
+
 GOLDEN_VERIFY = {
     "vandermonde": ["vandermonde", "--m=1/2,-5/3,2", "--n", "0..4",
                     "--c", "0..2"],
