@@ -20,11 +20,14 @@ from fractions import Fraction
 def binom(upper: Fraction | int, lower: int) -> Fraction:
     """Exact generalized binomial coefficient C(upper, lower).
 
-    Total function: lower < 0 gives 0, lower == 0 gives 1.  The product is
-    accumulated factor by factor so every intermediate stays reduced.
+    Total function: lower < 0 gives 0, lower == 0 gives 1, and an integer
+    0 <= upper < lower gives 0 (the factor upper - upper is in the product)
+    without running the loop.  The product is accumulated factor by factor
+    so every intermediate stays reduced.
     """
     upper = Fraction(upper)
-    if lower < 0:
+    if lower < 0 or (upper.denominator == 1
+                     and 0 <= upper.numerator < lower):
         return Fraction(0)
     acc = Fraction(1)
     for i in range(1, lower + 1):

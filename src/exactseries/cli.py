@@ -35,10 +35,11 @@ TABLE_CASES = {
 MAX_EXTRA_ORDERS = 64
 
 
-def parse_grid(text: str) -> list[Fraction]:
+def parse_grid(text: str) -> list[Fraction | int]:
     """Grid flag syntax: a single rational, an inclusive integer range
-    ``a..b``, or a comma-separated list of either."""
-    values: list[Fraction] = []
+    ``a..b``, or a comma-separated list of either.  An integer value is an
+    int, so a range builds no Fraction."""
+    values: list[Fraction | int] = []
     for part in text.split(","):
         part = part.strip()
         if ".." in part:
@@ -46,19 +47,18 @@ def parse_grid(text: str) -> list[Fraction]:
             lo, hi = parse_int(lo_text), parse_int(hi_text)
             if hi < lo:
                 raise ValueError(f"empty range {part!r}")
-            values.extend(Fraction(v) for v in range(lo, hi + 1))
+            values.extend(range(lo, hi + 1))
         else:
-            values.append(parse_rational(part))
+            value = parse_rational(part)
+            values.append(value.numerator if value.denominator == 1 else value)
     return values
 
 
-def _int_grid(values: list[Fraction], flag: str) -> list[int]:
-    out = []
+def _int_grid(values: list[Fraction | int], flag: str) -> list[int]:
     for v in values:
-        if v.denominator != 1:
+        if isinstance(v, Fraction):
             raise ValueError(f"{flag} must be integer, got {format_rational(v)}")
-        out.append(int(v))
-    return out
+    return values
 
 
 def _evaluate_to(expr, n: int, cap: int) -> PowerSeries:
@@ -112,16 +112,45 @@ def _cmd_coeff(args) -> int:
     return 0
 
 
-def _row_json(identity: str, params: dict, route_values: dict,
-              verdict: bool) -> dict:
-    params = {k: (format_rational(v) if isinstance(v, Fraction) else v)
-              for k, v in params.items()}
-    return {
-        "identity": identity,
-        "params": params,
-        "routes": {k: format_rational(v) for k, v in route_values.items()},
-        "verdict": verdict,
-    }
+def _print_sweep(args, identity: str, rows) -> int:
+    """Print the rows (params, route_values, verdict) of a sweep and return
+    1 if a verdict is false, else 0.  Nothing prints before the last row is
+    made, so an error at any point leaves stdout empty.  Under --json the
+    rows print as one JSON array, otherwise one line per row.  ``verify``
+    prints each row as a report; ``table`` prints the columns n, lhs, rhs
+    and closed, picked by name, with "-" for a route the row does not
+    have."""
+    table = args.command == "table"
+    columns = ("n", "lhs", "rhs", "closed")
+    out, ok = [], True
+    for params, route_values, verdict in rows:
+        ok = ok and verdict
+        routes = {k: format_rational(v) for k, v in route_values.items()}
+        if table:
+            row = {"n": params["n"], **routes}
+            cells = [row.get(k, "-") for k in columns]
+            out.append(dict(zip(columns, cells)) if args.json else cells)
+        elif args.json:
+            point = {k: format_rational(v) if isinstance(v, Fraction) else v
+                     for k, v in params.items()}
+            out.append({"identity": identity, "params": point,
+                        "routes": routes, "verdict": verdict})
+        else:
+            point = " ".join(f"{k}={format_rational(v)}"
+                             for k, v in params.items())
+            values = " ".join(f"{k}={v}" for k, v in routes.items())
+            out.append(f"{identity} {point}: {values} "
+                       f"{'ok' if verdict else 'FAIL'}")
+    if args.json:
+        print(json.dumps(out, indent=2))
+    elif table:
+        for cells in [columns, *out]:
+            print(",".join(map(str, cells)) if args.csv else
+                  f"{cells[0]:>4}" + "".join(f"  {v:>16}" for v in cells[1:]))
+    else:
+        for line in out:
+            print(line)
+    return 0 if ok else 1
 
 
 def _cmd_verify(args) -> int:
@@ -132,40 +161,18 @@ def _cmd_verify(args) -> int:
     ns = _int_grid(parse_grid(args.n), "--n")
     cs = _int_grid(parse_grid(args.c), "--c")
     ms = [Fraction(0)] if args.m is None else parse_grid(args.m)
-    reports = [_row_json(identity, *row)
-               for row in identities.verify_rows(identity, ms, ns, cs)]
-    if args.json:
-        print(json.dumps(reports, indent=2))
-    else:
-        for r in reports:
-            params = " ".join(f"{k}={v}" for k, v in r["params"].items())
-            routes = " ".join(f"{k}={v}" for k, v in r["routes"].items())
-            status = "ok" if r["verdict"] else "FAIL"
-            print(f"{r['identity']} {params}: {routes} {status}")
-    return 0 if all(r["verdict"] for r in reports) else 1
+    return _print_sweep(args, identity,
+                        identities.verify_rows(identity, ms, ns, cs))
 
 
 def _cmd_table(args) -> int:
     c = TABLE_CASES[args.case]
     if args.n_max < 0:
         raise ValueError(f"--n-max must be >= 0, got {args.n_max}")
-    reports = [_row_json("log_table", *row)
-               for row in identities.log_table_rows(c, range(args.n_max + 1))]
-    rows = [{"n": r["params"]["n"], "lhs": r["routes"]["lhs"],
-             "rhs": r["routes"]["rhs"],
-             "closed": r["routes"].get("closed", "-")} for r in reports]
-    if args.json:
-        print(json.dumps(rows, indent=2))
-    elif args.csv:
-        print("n,lhs,rhs,closed")
-        for row in rows:
-            print(f"{row['n']},{row['lhs']},{row['rhs']},{row['closed']}")
-    else:
-        print(f"{'n':>4}  {'lhs':>16}  {'rhs':>16}  {'closed':>16}")
-        for row in rows:
-            print(f"{row['n']:>4}  {row['lhs']:>16}  "
-                  f"{row['rhs']:>16}  {row['closed']:>16}")
-    return 0 if all(r["verdict"] for r in reports) else 1
+    # log_closed has no closed route for c >= 1: there the table is log_dual.
+    identity = "log_table" if c <= 0 else "log_dual"
+    return _print_sweep(args, identity, identities.verify_rows(
+        identity, ns=range(args.n_max + 1), cs=[c]))
 
 
 @functools.cache

@@ -131,8 +131,8 @@ def log_closed(n: int, c: int) -> Fraction:
 
 
 def __getattr__(name: str):
-    # The report type is imported on first use (PEP 562), as verify and
-    # log_table import it: see exactseries.report.
+    # The report type is imported on first use (PEP 562), as verify
+    # imports it: see exactseries.report.
     if name == "IdentityReport":
         from .report import IdentityReport
         return IdentityReport
@@ -148,6 +148,9 @@ IDENTITIES = {
     "log_dual": {"lhs": "log_lhs", "rhs": "log_rhs"},
     "log_closed": {"lhs": "log_lhs", "closed": "log_closed"},
 }
+# The worked log-series table: the routes of both log identities, lhs, rhs
+# and closed.  log_closed refuses c >= 1, so a table there sweeps log_dual.
+IDENTITIES["log_table"] = {**IDENTITIES["log_dual"], **IDENTITIES["log_closed"]}
 
 
 def _reports(names: dict, points: Iterable[dict]
@@ -194,21 +197,3 @@ def verify(
     from .report import IdentityReport
     return [IdentityReport(identity, *row)
             for row in verify_rows(identity, ms, ns, cs)]
-
-
-def log_table_rows(c: int, ns: Iterable[int]
-                   ) -> Iterator[tuple[dict, dict, bool]]:
-    """Rows of the worked log-series table for shift c, one per n: the
-    log_dual routes lhs and rhs, and log_closed's closed where a closed
-    form exists (c <= 0)."""
-    names = dict(IDENTITIES["log_dual"])
-    if c <= 0:
-        names["closed"] = IDENTITIES["log_closed"]["closed"]
-    return _reports(names, ({"n": n, "c": c} for n in ns))
-
-
-def log_table(c: int, ns: Iterable[int]) -> list[IdentityReport]:
-    """``log_table_rows`` as a list of reports of identity "log_table"."""
-    from .report import IdentityReport
-    return [IdentityReport("log_table", *row)
-            for row in log_table_rows(c, ns)]

@@ -1,7 +1,6 @@
-"""The report type that ``identities.verify`` and ``identities.log_table``
-return.  A module of its own, imported when a report is built, so that a
-process that only formats rows, as the ``exactseries`` command does, never
-imports ``dataclasses``."""
+"""The report type that ``identities.verify`` returns.  A module of its
+own, imported when a report is built, so that a process that only formats
+rows, as the ``exactseries`` command does, never imports ``dataclasses``."""
 
 from dataclasses import dataclass
 

@@ -257,8 +257,9 @@ def _int_nth_root(value: int, d: int) -> int | None:
     return r if r**d == value else None
 
 
-# Largest power fraction_pow computes, in bits (about 19 700 digits): CPython's
-# gcd is quadratic, so Fraction arithmetic on much larger values would hang.
+# Largest power _rational_pow computes, in bits (about 19 700 digits):
+# CPython's gcd is quadratic, so Fraction arithmetic on much larger values
+# would hang.
 MAX_POWER_BITS = 1 << 16
 
 # Highest order the command line evaluates at.  A series holds order + 1
@@ -267,17 +268,11 @@ MAX_POWER_BITS = 1 << 16
 MAX_ORDER = 1 << 13
 
 
-def fraction_pow(base: Fraction, exponent: Fraction) -> Fraction:
-    """base**exponent for a nonzero base when the result is rational;
+def _rational_pow(num: int, den: int, en: int, ed: int) -> tuple[int, int]:
+    """(num/den)^(en/ed) for num != 0 < den and ed > 0, as a reduced
+    numerator and a positive denominator, when the result is rational;
     otherwise an error.  A result above about MAX_POWER_BITS bits is an
     error too, raised before any of it is computed."""
-    return Fraction(*_rational_pow(base.numerator, base.denominator,
-                                   exponent.numerator, exponent.denominator))
-
-
-def _rational_pow(num: int, den: int, en: int, ed: int) -> tuple[int, int]:
-    """fraction_pow on integers: (num/den)^(en/ed) for num != 0 < den and
-    ed > 0, as a reduced numerator and a positive denominator."""
     g = math.gcd(num, den)
     num, den = num // g, den // g
     # |e| * (h - 1) > MAX_POWER_BITS for h the height's bit length, times ed.

@@ -7,6 +7,7 @@ import shlex
 import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -334,10 +335,29 @@ class TestParseGrid:
         assert parse_grid("0..2,1/2,-7/4") == [
             0, 1, 2, Fraction(1, 2), Fraction(-7, 4)
         ]
+        assert [type(v) for v in parse_grid("0..1,4/2,1/2")] == [
+            int, int, int, Fraction]
 
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
             parse_grid("3..1")
+
+    def test_range_builds_no_fraction_per_value(self):
+        # 200 001 ints and their list take about 8 MB; one Fraction per
+        # value would take about 25 MB.
+        tracemalloc.start()
+        try:
+            ns = cli._int_grid(parse_grid("0..200000"), "--n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ns == list(range(200_001))
+        assert peak < 12_000_000
+
+    def test_non_integer_n_or_c_names_the_flag(self, capsys):
+        assert run(["verify", "log-dual", "--n", "0..2,4/2", "--c", "1/2"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: --c must be integer, got 1/2\n")
 
 
 # Integer flags read ASCII digits only, as expression literals do: int()
@@ -822,6 +842,18 @@ class TestVerifyCommand:
         assert out.count("ok") == 7 * 7
         assert "FAIL" not in out
 
+    def test_disagreeing_route_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli.identities, "log_rhs",
+                            lambda n, c: Fraction(n, 3))
+        assert run(["verify", "log-dual", "--n", "0..1", "--c", "0"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "log_dual n=0 c=0: lhs=0 rhs=0 ok",
+            "log_dual n=1 c=0: lhs=1 rhs=1/3 FAIL"]
+        assert run(["verify", "log-dual", "--n", "0..1", "--c", "0",
+                    "--json"]) == 1
+        verdicts = [r["verdict"] for r in json.loads(capsys.readouterr().out)]
+        assert verdicts == [True, False]
+
     def test_log_closed_json(self, capsys):
         code = run(["verify", "log-closed", "--n", "0..6", "--c=-6..0",
                     "--json"])
@@ -965,6 +997,19 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "20\n"
+
+
+def test_sum_route_past_an_integer_upper_index_ends_at_once():
+    # The sum route takes binom(3, c + k); C(3, q) for q > 3 is 0 without a
+    # loop of q steps.  A child with a timeout, so a hang fails this test.
+    proc = subprocess.run(
+        [sys.executable, "-m", "exactseries.cli", "verify", "vandermonde",
+         "--m", "1/2", "--n", "3", "--c", "9999999999999"],
+        capture_output=True, text=True, env=child_env(), timeout=30,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ("vandermonde m=1/2 n=3 c=9999999999999: "
+                           "sum=0 closed=0 series=0 ok\n")
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")

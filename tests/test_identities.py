@@ -13,7 +13,6 @@ from exactseries.identities import (
     log_closed,
     log_lhs,
     log_rhs,
-    log_table,
     vandermonde_closed,
     vandermonde_series_route,
     vandermonde_sum,
@@ -174,13 +173,21 @@ class TestVerify:
         assert report.verdict
 
     def test_log_table_rows(self):
-        reports = log_table(-2, range(0, 4))
+        reports = verify("log_table", ns=range(0, 4), cs=[-2])
         assert [r.params for r in reports] == [{"n": n, "c": -2} for n in range(4)]
-        assert all(set(r.route_values) == {"lhs", "rhs", "closed"} for r in reports)
+        assert all(list(r.route_values) == ["lhs", "rhs", "closed"]
+                   for r in reports)
         assert all(r.verdict for r in reports)
-        (report,) = log_table(2, [6])
+        # For c >= 1 the table is a log_dual sweep.
+        (report,) = verify("log_dual", ns=[6], cs=[2])
         assert report.route_values == {"lhs": Fraction(57, 4), "rhs": Fraction(57, 4)}
         assert report.verdict
+
+    def test_log_table_refuses_positive_c(self):
+        # log_closed has no closed route for c >= 1, which is why the table
+        # command sweeps log_dual there.
+        with pytest.raises(ValueError, match="no closed-form route for c=1"):
+            list(identities.verify_rows("log_table", ns=[3], cs=[1]))
 
 
 class TestRouteTable:

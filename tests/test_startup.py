@@ -60,9 +60,6 @@ def test_report_rows_match_the_reports():
                                 range(2))
     assert [identities.IdentityReport("vandermonde", *row) for row in rows] \
         == reports
-    assert [identities.IdentityReport("log_table", *row)
-            for row in identities.log_table_rows(-1, range(4))] \
-        == identities.log_table(-1, range(4))
 
 
 def test_unknown_identity_is_refused_before_any_row():
