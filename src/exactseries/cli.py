@@ -14,10 +14,9 @@ import sys
 from fractions import Fraction
 
 from . import identities
-from .lang import (EvalError, LexError, ParseError, evaluate, order_loss,
-                   parse_text)
+from .lang import EvalError, LexError, ParseError, evaluate, parse_text
 from .rationals import format_rational, parse_int, parse_rational
-from .series import MAX_ORDER, PowerSeries, ZeroToOrderError, coefficient
+from .series import PowerSeries, ZeroToOrderError, coefficient
 
 TABLE_CASES = {
     "c0": 0,
@@ -33,6 +32,11 @@ TABLE_CASES = {
 # bounds the work spent on a divisor that cancels to every order, such as
 # (1+z)-1-z, while leaving room for divisions by z^v with v far above n.
 MAX_EXTRA_ORDERS = 64
+
+# Highest order coeff evaluates at.  A series holds order + 1 integers, and
+# its work grows faster: (1-z)^(1/2) takes about 4 s and 60 MB at this
+# order, and about seven times the time per doubling of it.
+MAX_ORDER = 1 << 13
 
 
 def parse_grid(text: str) -> list[Fraction | int]:
@@ -62,21 +66,21 @@ def _int_grid(values: list[Fraction | int], flag: str) -> list[int]:
 
 
 def _evaluate_to(expr, n: int, cap: int) -> PowerSeries:
-    """Evaluate expr at order n plus what its divisions and powers lose as
-    far as the tree shows it (lang.order_loss, never more than they lose),
-    and again at higher orders up to cap while that falls short of z^n.
+    """Evaluate expr at order n, and again at higher orders up to cap
+    while that falls short of z^n.
 
-    The loop is for what the tree cannot show.  A loss is the same v at any
-    order above v, so a short result, such as one whose divisor cancels to
-    a higher valuation, is evaluated again with the shortfall added.  An
-    operand that is zero to its order may have its leading term above it,
-    so that error doubles the order.  Every other error is final: it ends
-    the search, so the error reported is the first one met at the lowest
-    order tried.  One evaluation at cap may meet another one first, such
-    as a power over the bit limit whose base is zero to the lower order.
-    An order above series.MAX_ORDER is refused before it is evaluated.
+    A division by a series of valuation v, or a power of one, loses orders
+    (series.ps_div and series.ps_pow say how many), and a loss is the same
+    at any order above v.  So a short result is evaluated again with the
+    shortfall added.  An operand that is zero to its order may have its
+    leading term above it, so that error doubles the order.  Every other
+    error is final: it ends the search, so the error reported is the first
+    one met at the lowest order tried.  One evaluation at cap may meet
+    another one first, such as a power over the bit limit whose base is
+    zero to the lower order.  An order above MAX_ORDER is refused before it
+    is evaluated.
     """
-    order = min(cap, n + order_loss(expr))
+    order = n
     while True:
         if order > MAX_ORDER:
             raise ValueError(f"evaluation order {order} is over the limit "

@@ -89,19 +89,23 @@ def log_rhs(n: int, c: int) -> Fraction:
     C(N, c); that row is rolled downward in integers with
     C(N, c) = C(N+1, c) * (N+1-c) / (N+1).  For c < 0 a term with N >= 0
     has lower index N-c > N and vanishes, so only the -c terms with N < 0
-    survive; for those, reflection gives C(N, j) = (-1)^j C(-c-1, j) with
-    j = N-c.  Each term is added as an integer numerator over L, the lcm of
-    the surviving lam, and the one Fraction is built at the end.
+    survive; for those, reflection gives C(N, j) = (-1)^j C(d, j) with
+    j = N-c and d = -c-1, and that row is rolled downward from C(d, d) = 1
+    with C(d, j-1) = C(d, j) * j / (d-j+1).  Each term is added as an
+    integer numerator over L, the lcm of the surviving lam, and the one
+    Fraction is built at the end.
     """
     _check_n(n)
     if c < 0:
         lams = range(n + 1, n - c + 1)
         lcd = functools.reduce(math.lcm, lams, 1)
         total = 0
+        row = 1
         for lam in lams:
             j = n - lam - c
-            term = math.comb(-c - 1, j) * (lcd // lam)
+            term = row * (lcd // lam)
             total += -term if j % 2 else term
+            row = row * j // (-c - j)
         return Fraction(total, lcd)
     lams = range(1, n - c + 1)
     lcd = functools.reduce(math.lcm, lams, 1)

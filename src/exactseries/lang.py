@@ -247,25 +247,24 @@ def evaluate(expr, order: int) -> PowerSeries:
     """Expand an expression into a truncated series of the given order."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    value = _fold(expr, _leaf, _apply, order)
+    value = _fold(expr, order)
     return constant(value, order) if isinstance(value, Fraction) else value
 
 
-def _fold(expr, leaf, apply, arg):
-    """expr's value built bottom up: leaf(atom, arg) for each atom, and
-    apply(node, a, b, arg) for each binary node from its operands' values
-    (b is the Fraction exponent of ^).  Binary nodes are walked down their
-    left operands and applied on the way back up, so recursion depth is
-    nesting depth, not length."""
+def _fold(expr, order: int) -> PowerSeries | Fraction:
+    """expr's value at order, built bottom up: _leaf for each atom, and
+    _apply for each binary node from its operands' values.  Binary nodes
+    are walked down their left operands and applied on the way back up, so
+    recursion depth is nesting depth, not length."""
     spine = []  # the binary nodes above expr, the lowest last
     while expr[0] in _OPS:
         spine.append(expr)
         expr = expr[1]
-    value = leaf(expr, arg)
+    value = _leaf(expr, order)
     for node in reversed(spine):
         # The right of ^ is its Fraction exponent, not a subtree.
-        right = node[2] if node[0] == "^" else _fold(node[2], leaf, apply, arg)
-        value = apply(node, value, right, arg)
+        right = node[2] if node[0] == "^" else _fold(node[2], order)
+        value = _apply(node, value, right, order)
     return value
 
 
@@ -316,44 +315,3 @@ def _apply(node, a, b, order: int) -> PowerSeries | Fraction:
         return globals()[_OPS[op]](a, b)
     except SeriesDomainError as exc:
         raise EvalError(f"in {pretty(node)}: {exc}") from exc
-
-
-# ---------------------------------------------------------------- order loss
-
-def order_loss(expr) -> int:
-    """A lower bound, read from the tree alone, on the orders that
-    evaluate(expr, order) loses: its result stops at order - loss.
-
-    A division a/b loses b's valuation v (ps_div drops z^0..z^(v-1) of both
-    operands), and a power e != 0 of a base with valuation s loses s - e*s
-    when e*s is an integer in 0..s-1; every node loses at least what its
-    operands lose.  Valuations are lower bounds too: z and log have 1,
-    literals 0, a product the sum of its operands', a sum or difference the
-    smaller of its operands' (a zero literal, as in unary minus, has none),
-    a power e*s when that is an integer >= 0, and anything else 0.  What
-    the tree cannot show, such as the cancellation in (1+z)-1-z, is not
-    counted.
-    """
-    return _fold(expr, _leaf_loss, _apply_loss, None)[1]
-
-
-def _leaf_loss(expr, _) -> tuple[int, int]:
-    return (0 if expr[0] == "lit" else 1), 0
-
-
-def _apply_loss(node, a, b, _) -> tuple[int, int]:
-    """node's (valuation, loss) from its operands' (b is the exponent of ^)."""
-    op, (s, loss) = node[0], a
-    if op == "^":
-        shift, rest = divmod(s * b.numerator, b.denominator)
-        if rest or shift < 0 or not b:
-            return 0, loss  # x^0 is 1 at x's order; else 0 is a safe bound
-        return shift, loss + max(0, s - shift)
-    t, loss = b[0], max(loss, b[1])
-    if op == "*":
-        return s + t, loss
-    if op == "/":
-        return 0, loss + t
-    if node[1] == ("lit", 0):
-        return t, loss
-    return (s if node[2] == ("lit", 0) else min(s, t)), loss

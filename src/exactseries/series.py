@@ -262,11 +262,6 @@ def _int_nth_root(value: int, d: int) -> int | None:
 # would hang.
 MAX_POWER_BITS = 1 << 16
 
-# Highest order the command line evaluates at.  A series holds order + 1
-# integers, and its work grows faster: (1-z)^(1/2) takes about 4 s and 60 MB
-# at this order, and about seven times the time per doubling of it.
-MAX_ORDER = 1 << 13
-
 
 def _rational_pow(num: int, den: int, en: int, ed: int) -> tuple[int, int]:
     """(num/den)^(en/ed) for num != 0 < den and ed > 0, as a reduced

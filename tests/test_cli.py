@@ -15,13 +15,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from exactseries import cli
-from exactseries.cli import parse_grid, run
+from exactseries.cli import MAX_ORDER, parse_grid, run
 from exactseries.lang import EvalError, evaluate, parse_text, pretty
 from exactseries.rationals import format_rational
 from exactseries.series import (
-    MAX_ORDER,
     SeriesDomainError,
-    ZeroToOrderError,
     coefficient,
     constant,
     identity_z,
@@ -149,24 +147,6 @@ def reference_evaluate(expr, order: int):
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def reference_evaluate_to(expr, n: int, cap: int):
-    """``cli._evaluate_to`` as it was before it read its first order off the
-    tree: it starts at order n.  Kept as the oracle for the start order,
-    which may change no output and add no evaluation."""
-    order = n
-    while True:
-        try:
-            result = cli.evaluate(expr, order)
-        except EvalError as exc:
-            if order == cap or not isinstance(exc.__cause__, ZeroToOrderError):
-                raise
-            order = min(cap, 2 * order + 1)
-            continue
-        if result.order >= n or order == cap:
-            return result
-        order = min(cap, order + n - result.order)
-
-
 def outputs(argv: list[str], entry=run) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of one in-process run of entry."""
     out, err = io.StringIO(), io.StringIO()
@@ -253,16 +233,6 @@ def test_coeff_request_skips_the_top_level_parse(monkeypatch):
     # parse_args calls parse_known_args, so this catches both.
     monkeypatch.setattr(parser, "parse_known_args", unused)
     assert outputs(["coeff", "z^2/(1-z)^4", "--n", "5"]) == (0, "20\n", "")
-
-
-def outputs_and_orders(argv: list[str], evaluate_to=None):
-    """outputs(argv) and the orders evaluated at, in call order, with
-    cli._evaluate_to replaced by evaluate_to if one is given."""
-    with pytest.MonkeyPatch.context() as patch:
-        seen = record_orders(patch)
-        if evaluate_to is not None:
-            patch.setattr(cli, "_evaluate_to", evaluate_to)
-        return outputs(argv), seen
 
 
 # Random expression trees, fully parenthesized.  The atoms include divisors
@@ -498,15 +468,13 @@ class TestCoeff:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
-        # The tree gives z-z valuation 1, so its quotient starts at n + 1.
-        assert orders[0] == n + (expr == "(z-z)/(z-z)")
+        assert orders[0] == n
         assert max(orders) == n + cli.MAX_EXTRA_ORDERS
 
     @pytest.mark.parametrize("expr", ["1/z", "2^(1/2)", "(z+z^2)^(1/2)"])
     def test_final_errors_are_not_retried(self, expr, orders, capsys):
         assert run(["coeff", expr, "--n", "2"]) == 2
-        # 1/z starts at n + 1, for its divisor's valuation 1.
-        assert orders == [3 if expr == "1/z" else 2]
+        assert orders == [2]
         assert capsys.readouterr().err.count("\n") == 1
 
     def test_plain_expression_evaluates_once_at_order_n(self, orders, capsys):
@@ -527,42 +495,20 @@ class TestCoeff:
         assert capsys.readouterr().out == "0\n"
         assert orders == [5, 11, 15]
 
-    @pytest.mark.parametrize("expr, first, value", [
-        ("(1-(1-4*z)^(1/2))/(2*z)", 6, "42"),
-        ("(1-(1-4*z)^(1/2))/(-2*z)", 6, "-42"),
-        ("z^10/z^10", 15, "0"),
-        ("(z^10)^(1/2)", 10, "1"),
-        ("(z^10)^0", 5, "0"),
+    @pytest.mark.parametrize("expr, expected, value", [
+        ("(1-(1-4*z)^(1/2))/(2*z)", [5, 6], "42"),
+        ("(1-(1-4*z)^(1/2))/(-2*z)", [5, 6], "-42"),
+        ("z^10/z^10", [5, 11, 15], "0"),
+        ("(z^10)^(1/2)", [5, 11], "1"),
+        ("(z^10)^0", [5], "0"),
     ])
-    def test_start_order_is_read_from_the_tree(self, expr, first, value,
-                                               orders, capsys):
-        # n plus what the tree shows the divisions and powers to lose.
+    def test_orders_start_at_n_and_follow_the_loop(self, expr, expected,
+                                                   value, orders, capsys):
+        # A short result adds the shortfall, an operand zero to its order
+        # doubles the order plus one.
         assert run(["coeff", expr, "--n", "5"]) == 0
         assert capsys.readouterr() == (value + "\n", "")
-        assert orders == [first]
-
-    @given(expr=st.one_of(expressions, scalar_expressions),
-           n=st.integers(0, 12), extra=st.none() | st.integers(0, 40),
-           as_json=st.booleans())
-    @example(expr="(1-(1-(4*z))^(1/2))/(2*z)", n=5, extra=None, as_json=False)
-    @example(expr="(z^10/z^10)", n=5, extra=8, as_json=False)
-    @example(expr="(z/((1+z)-1))", n=3, extra=None, as_json=False)
-    @example(expr="((z^10)^0)", n=5, extra=None, as_json=False)
-    @example(expr="(1/((1+z)-1-z))", n=3, extra=40, as_json=True)
-    @settings(max_examples=300, deadline=None)
-    def test_start_order_changes_no_output_and_adds_no_work(self, expr, n,
-                                                            extra, as_json):
-        argv = ["coeff", expr, "--n", str(n)]
-        argv += [] if extra is None else ["--order", str(n + extra)]
-        argv += ["--json"] if as_json else []
-        expected, reference = outputs_and_orders(argv, reference_evaluate_to)
-        got, orders = outputs_and_orders(argv)
-        assert got == expected
-        assert len(orders) <= len(reference)
-        # A final error ends both at their first order, and the tree may
-        # start this one higher, as for 1/z.
-        if got[0] == 0:
-            assert orders[0] <= reference[-1]
+        assert orders == expected
 
     def test_high_order_is_not_evaluated_when_n_suffices(self, orders, capsys):
         assert run(["coeff", "z", "--n", "1", "--order", "1000000"]) == 0
@@ -571,7 +517,6 @@ class TestCoeff:
 
     @pytest.mark.parametrize("argv, order", [
         (["z", "--n", "1000000000"], 1000000000),
-        (["1/z", "--n", str(MAX_ORDER)], MAX_ORDER + 1),
         (["z", "--n", str(MAX_ORDER + 1), "--order", "1000000000"],
          MAX_ORDER + 1),
     ])
@@ -588,6 +533,13 @@ class TestCoeff:
     def test_order_limit_is_evaluated(self, orders, capsys):
         assert run(["coeff", "z", "--n", str(MAX_ORDER)]) == 0
         assert capsys.readouterr() == ("0\n", "")
+        assert orders == [MAX_ORDER]
+
+    def test_error_at_the_order_limit_is_reported(self, orders, capsys):
+        assert run(["coeff", "1/z", "--n", str(MAX_ORDER)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: in (1 / z): division would produce negative powers "
+                "of z: denominator has valuation 1, numerator does not\n")
         assert orders == [MAX_ORDER]
 
     def test_retry_loop_stops_at_the_order_limit(self, orders, capsys):
@@ -610,8 +562,10 @@ class TestCoeff:
     @pytest.mark.parametrize("as_json", [False, True])
     def test_first_error_at_the_lowest_order_is_reported(self, as_json,
                                                          orders, capsys):
-        # At order 1 z^60 is zero to its order, so the power is 0 and 1/z
-        # raises; one evaluation at order 64 would hit the bit limit first.
+        # At order 0 the divisor z is zero to its order, so the order
+        # doubles.  At order 1 z^60 is zero to its order, so the power is 0
+        # and 1/z raises; one evaluation at order 64 would hit the bit limit
+        # first.
         argv = ["coeff", "(3*z^60)^99999999+1/z", "--n", "0", "--order", "64"]
         assert run(argv + ["--json"] * as_json) == 2
         message = ("in (1 / z): division would produce negative powers of z:"
@@ -619,7 +573,7 @@ class TestCoeff:
         err = (json.dumps({"kind": "EvalError", "message": message})
                if as_json else f"error: {message}")
         assert capsys.readouterr() == ("", err + "\n")
-        assert orders == [1]
+        assert orders == [0, 1]
 
     @pytest.mark.parametrize("order", [[], ["--order", "5"]])
     def test_negative_n_exits_2(self, order, capsys):

@@ -1,4 +1,5 @@
 import gc
+import math
 import sys
 from fractions import Fraction
 
@@ -256,6 +257,27 @@ def test_log_routes_match_reference(point):
     n, c = point
     assert log_lhs(n, c) == reference_log_lhs(n, c)
     assert log_rhs(n, c) == reference_log_rhs(n, c)
+
+
+def reference_reflected_log_rhs(n: int, c: int) -> Fraction:
+    """log_rhs for c < 0 as it was before its reflected row was rolled: one
+    math.comb per surviving term, C(n-lam, j) = (-1)^j C(-c-1, j) with
+    j = n-lam-c."""
+    total = Fraction(0)
+    for lam in range(n + 1, n - c + 1):
+        j = n - lam - c
+        total += Fraction((-1) ** j * math.comb(-c - 1, j), lam)
+    return total
+
+
+# c reaches well past the grids above, where the binom oracle is slow.
+@given(n=st.integers(0, 60), c=st.integers(-400, -1))
+@example(n=0, c=-1)
+@example(n=0, c=-400)
+@example(n=60, c=-400)
+@settings(max_examples=100, deadline=None)
+def test_rolled_reflection_matches_one_comb_per_term(n, c):
+    assert log_rhs(n, c) == reference_reflected_log_rhs(n, c)
 
 
 @pytest.mark.skipif(sys.implementation.name != "cpython",

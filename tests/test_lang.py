@@ -2,7 +2,6 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from exactseries import lang
 from exactseries.lang import (
@@ -10,7 +9,6 @@ from exactseries.lang import (
     LexError,
     ParseError,
     evaluate,
-    order_loss,
     parse_text,
     pretty,
     tokenize,
@@ -418,56 +416,3 @@ class TestZFreeSubtrees:
     def test_zero_divisor_is_a_series_error(self, text):
         with pytest.raises(EvalError, match="zero to its order"):
             evaluate(parse_text(text), 5)
-
-
-# Random trees whose divisors and bases have valuations 0, 1 and 2, some of
-# them hidden by cancellation, with zero, negative and fractional exponents.
-loss_trees = st.recursive(
-    st.sampled_from(["0", "1", "z", "z^2", "log(1/(1-z))", "(z-z)",
-                     "((1+z)-1)"]),
-    lambda children: st.one_of(
-        st.builds("({}{}{})".format, children, st.sampled_from("+-*/"),
-                  children),
-        st.builds("(-{})".format, children),
-        st.builds("({})^{}".format, children,
-                  st.sampled_from(["0", "2", "(-1)", "(1/2)", "(3/2)"])),
-    ),
-    max_leaves=8,
-)
-
-
-class TestOrderLoss:
-    """order_loss reads off the tree what evaluate loses, never more."""
-
-    # What the tree shows, and what an evaluation at a high enough order
-    # loses.  They differ only where the tree hides a valuation.
-    @pytest.mark.parametrize("text, bound, lost", [
-        ("z^2/(1-z)^4", 0, 0),
-        ("(1-(1-4*z)^(1/2))/(2*z)", 1, 1),
-        ("(1-(1-4*z)^(1/2))/(-2*z)", 1, 1),  # -2 is 0-2, and 0 is no term
-        ("z^2/-(z*log(1/(1-z)))", 2, 2),
-        ("z^12/z^6/z^6", 12, 12),
-        ("(z^10)^(1/2)", 5, 5),
-        ("(z^4)^(1/2)/(z^4)^(1/2)", 4, 4),
-        ("(z^10)^0", 0, 0),
-        ("z/(z+z^2)", 1, 1),
-        ("z/(z/z)", 1, 1),
-        ("z^2/(z^2/z)", 1, 2),  # a quotient's valuation counts as 0
-        ("z/((1+z)-1)", 0, 1),  # the cancellation is not seen
-        ("z^5" + "/(1+z)" * 3000 + "/z^5", 5, 5),
-        ("+".join(["z"] * 3000), 0, 0),
-    ], ids=lambda x: "chain" if isinstance(x, str) and len(x) > 40 else None)
-    def test_loss(self, text, bound, lost):
-        tree = parse_text(text)
-        assert order_loss(tree) == bound
-        assert evaluate(tree, lost + 10).order == 10
-
-    @given(text=loss_trees, order=st.integers(0, 30))
-    @settings(max_examples=300, deadline=None)
-    def test_is_a_lower_bound(self, text, order):
-        tree = parse_text(text)
-        try:
-            result = evaluate(tree, order)
-        except EvalError:
-            return
-        assert order_loss(tree) <= order - result.order
