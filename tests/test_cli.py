@@ -517,6 +517,7 @@ class TestCoeff:
 
     @pytest.mark.parametrize("argv, order", [
         (["z", "--n", "1000000000"], 1000000000),
+        (["z", "--n", str(MAX_ORDER + 1)], MAX_ORDER + 1),
         (["z", "--n", str(MAX_ORDER + 1), "--order", "1000000000"],
          MAX_ORDER + 1),
     ])
