@@ -2,7 +2,6 @@
 truncated power series, and multi-route verification of binomial
 convolution and logarithmic-series identities."""
 
-from . import identities
 from .binomial import binom, harmonic
 from .series import (
     PowerSeries,
@@ -26,9 +25,11 @@ from .identities import (
 
 
 def __getattr__(name: str):
-    # IdentityReport is imported on first use (PEP 562), by identities.
+    # IdentityReport is imported on first use (PEP 562), as verify imports
+    # it: see exactseries.report.
     if name == "IdentityReport":
-        return identities.IdentityReport
+        from .report import IdentityReport
+        return IdentityReport
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -83,37 +83,23 @@ def log_lhs(n: int, c: int) -> Fraction:
 def log_rhs(n: int, c: int) -> Fraction:
     """The dual series sum over lam >= 1 of C(n-lam, n-lam-c)/lam.
 
-    Past lam = n-c every lower index is negative and the term vanishes;
-    c > n gives the empty sum.  For c >= 0 every surviving upper index
-    N = n-lam is at least c, where the complement rewrite makes the term
-    C(N, c); that row is rolled downward in integers with
-    C(N, c) = C(N+1, c) * (N+1-c) / (N+1).  For c < 0 a term with N >= 0
-    has lower index N-c > N and vanishes, so only the -c terms with N < 0
-    survive; for those, reflection gives C(N, j) = (-1)^j C(d, j) with
-    j = N-c and d = -c-1, and that row is rolled downward from C(d, d) = 1
-    with C(d, j-1) = C(d, j) * j / (d-j+1).  Each term is added as an
-    integer numerator over L, the lcm of the surviving lam, and the one
-    Fraction is built at the end.
+    With j = n-lam-c, upper negation (Concrete Mathematics (5.14)) makes
+    each term s_j/lam, where s_j = (-1)^j C(-c-1, j) is the coefficient of
+    z^j in (1-z)^-(c+1), for every integer c.  The row is rolled in
+    integers from s_0 = 1 with s_(j+1) = s_j * (j+c+1) / (j+1), lam running
+    down from n-c (c > n gives the empty sum); for c < 0 the row is 0 from
+    j = -c on, so lam stops at n+1.  Each term is added as an integer
+    numerator over L, the lcm of the summed lam, and the one Fraction is
+    built at the end.
     """
     _check_n(n)
-    if c < 0:
-        lams = range(n + 1, n - c + 1)
-        lcd = functools.reduce(math.lcm, lams, 1)
-        total = 0
-        row = 1
-        for lam in lams:
-            j = n - lam - c
-            term = row * (lcd // lam)
-            total += -term if j % 2 else term
-            row = row * j // (-c - j)
-        return Fraction(total, lcd)
-    lams = range(1, n - c + 1)
+    lams = range(n + 1 if c < 0 else 1, n - c + 1)
     lcd = functools.reduce(math.lcm, lams, 1)
     total = 0
-    row = math.comb(n, c)
-    for lam in lams:
-        row = row * (n - lam + 1 - c) // (n - lam + 1)
+    row = 1
+    for j, lam in enumerate(reversed(lams)):
         total += row * (lcd // lam)
+        row = row * (j + c + 1) // (j + 1)
     return Fraction(total, lcd)
 
 
@@ -132,15 +118,6 @@ def log_closed(n: int, c: int) -> Fraction:
     d = -c
     denom = math.prod(n + i for i in range(1, d + 1))
     return Fraction((-1) ** (d - 1) * math.factorial(d - 1), denom)
-
-
-def __getattr__(name: str):
-    # The report type is imported on first use (PEP 562), as verify
-    # imports it: see exactseries.report.
-    if name == "IdentityReport":
-        from .report import IdentityReport
-        return IdentityReport
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # Each identity's routes in print order, label -> route function name.  The

@@ -1,8 +1,8 @@
 """Helpers for exact rationals on the CLI boundary.
 
-All arithmetic in this package runs on ``fractions.Fraction``, which already
-guarantees the canonical form we need: positive denominator, gcd-reduced,
-structural equality.
+Values cross it as ``fractions.Fraction``, whose canonical form is the one
+we need: positive denominator, gcd-reduced, structural equality.  Inside,
+series and the log routes run on integer numerators over one denominator.
 """
 
 import sys

@@ -10,7 +10,6 @@ from exactseries import identities
 from exactseries.binomial import binom, harmonic
 from exactseries.identities import (
     IDENTITIES,
-    IdentityReport,
     log_closed,
     log_lhs,
     log_rhs,
@@ -18,6 +17,13 @@ from exactseries.identities import (
     vandermonde_series_route,
     vandermonde_sum,
     verify,
+)
+from exactseries.report import IdentityReport
+from exactseries.series import (
+    binomial_series,
+    coefficient,
+    log_geometric,
+    ps_mul,
 )
 
 
@@ -259,25 +265,57 @@ def test_log_routes_match_reference(point):
     assert log_rhs(n, c) == reference_log_rhs(n, c)
 
 
-def reference_reflected_log_rhs(n: int, c: int) -> Fraction:
-    """log_rhs for c < 0 as it was before its reflected row was rolled: one
-    math.comb per surviving term, C(n-lam, j) = (-1)^j C(-c-1, j) with
-    j = n-lam-c."""
+def reference_comb_log_rhs(n: int, c: int) -> Fraction:
+    """log_rhs as it was before its rows were one roll: one math.comb per
+    surviving term.  For c >= 0 the term is the complement C(n-lam, c); for
+    c < 0 it is the reflection C(n-lam, j) = (-1)^j C(-c-1, j) with
+    j = n-lam-c, and only lam > n survive."""
     total = Fraction(0)
+    if c >= 0:
+        for lam in range(1, n - c + 1):
+            total += Fraction(math.comb(n - lam, c), lam)
+        return total
     for lam in range(n + 1, n - c + 1):
         j = n - lam - c
         total += Fraction((-1) ** j * math.comb(-c - 1, j), lam)
     return total
 
 
-# c reaches well past the grids above, where the binom oracle is slow.
-@given(n=st.integers(0, 60), c=st.integers(-400, -1))
+# c reaches well past the grids above, where the binom oracle is slow, and
+# covers both signs: the reflected terms for c < 0, the complement for
+# c >= 0, and the empty sum for c > n.
+@given(n=st.integers(0, 200), c=st.integers(-400, 203))
 @example(n=0, c=-1)
 @example(n=0, c=-400)
+@example(n=0, c=0)
+@example(n=0, c=3)
 @example(n=60, c=-400)
-@settings(max_examples=100, deadline=None)
+@example(n=200, c=-400)
+@example(n=200, c=-1)
+@example(n=200, c=0)
+@example(n=200, c=1)
+@example(n=200, c=200)
+@example(n=200, c=203)
+@settings(max_examples=150, deadline=None)
 def test_rolled_reflection_matches_one_comb_per_term(n, c):
-    assert log_rhs(n, c) == reference_reflected_log_rhs(n, c)
+    assert log_rhs(n, c) == reference_comb_log_rhs(n, c)
+
+
+def series_log_rhs(n: int, c: int) -> Fraction:
+    """[z^(n-c)] log(1/(1-z)) * (1-z)^-(c+1), built from series ops; 0 for
+    c > n.  The convolution that log_rhs rolls in integers."""
+    if c > n:
+        return Fraction(0)
+    order = n - c
+    kernel = binomial_series(-(c + 1), order, at_minus_z=True)
+    return coefficient(ps_mul(log_geometric(order), kernel), order)
+
+
+def test_rhs_is_the_series_coefficient():
+    points = [(n, c) for n in range(30) for c in range(-8, n + 4)]
+    assert len(points) == 795
+    for n, c in points:
+        assert log_rhs(n, c) == series_log_rhs(n, c), (n, c)
 
 
 @pytest.mark.skipif(sys.implementation.name != "cpython",
