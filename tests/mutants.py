@@ -58,6 +58,32 @@ MUTANTS = [
     # coeff's order loop: doubling without the + 1 never leaves order 0.
     ("src/exactseries/cli.py", "order = min(cap, 2 * order + 1)",
      "order = min(cap, 2 * order)", "order"),
+    # log_closed: the sign of (-1)^(d-1) flipped.
+    ("src/exactseries/identities.py", "(-1) ** (d - 1)", "(-1) ** d",
+     "log"),
+    # harmonic: the 1/1 term dropped.
+    ("src/exactseries/binomial.py", "for k in ks])", "for k in ks[1:]])",
+     "log"),
+    # ps_div: the numerator cut one coefficient short of the valuation.
+    ("src/exactseries/series.py", "a.nums[v:]", "a.nums[v - 1:]", "div"),
+    # lang._apply: c - series computed as c + series.
+    ("src/exactseries/lang.py", "ps_affine(b, -1, a)", "ps_affine(b, 1, a)",
+     "scalar"),
+    # _rational_pow: a negative exponent left unswapped.
+    ("src/exactseries/series.py",
+     "num, den, en = (-den, -num, -en) if num < 0 else (den, num, -en)",
+     "pass", "pow"),
+    # ps_affine: the shift c added over den without scaling.
+    ("src/exactseries/series.py",
+     "nums[0] += c.numerator * (den // c.denominator)",
+     "nums[0] += c.numerator", "scalar"),
+    # log_geometric: the negative-order guard removed.
+    ("src/exactseries/series.py",
+     '"""-log(1-z) = z + z^2/2 + z^3/3 + ... to the given order."""\n'
+     "    if order < 0:\n"
+     '        raise ValueError(f"order must be >= 0, got {order}")\n',
+     '"""-log(1-z) = z + z^2/2 + z^3/3 + ... to the given order."""\n',
+     "negative_order"),
 ]
 
 

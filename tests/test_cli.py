@@ -98,6 +98,31 @@ def orders(monkeypatch):
     return record_orders(monkeypatch)
 
 
+# Seconds any one test here may run: the slowest takes a few seconds.
+DEADLINE_S = 60
+
+
+@pytest.fixture(autouse=True)
+def deadline():
+    """Fail a test that runs past DEADLINE_S instead of hanging the suite.
+    cli.run runs in-process and catches Exception; pytest.fail raises an
+    exception that is not one, so it reaches the test.  The timer repeats,
+    so each Hypothesis replay of a failing example is cut short too."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"test ran past its {DEADLINE_S} s deadline")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, DEADLINE_S, DEADLINE_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def reference_cmd_coeff(args) -> int:
     """``coeff --order K`` as one evaluation at order K, kept as the oracle
     for K as the cap of the retry loop: where the loop stops below K, it

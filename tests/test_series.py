@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from exactseries.binomial import binom
+from exactseries.lang import evaluate
 from exactseries.rationals import format_rational
 from exactseries.series import (
     MAX_POWER_BITS,
@@ -93,6 +94,17 @@ class TestRingOps:
     def test_shift_rejects_negative(self):
         with pytest.raises(ValueError):
             ps_monomial_shift(series([1]), -1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda order: binomial_series(Fraction(1, 2), order),
+    log_geometric,
+    lambda order: evaluate(("z",), order),
+], ids=["binomial_series", "log_geometric", "evaluate"])
+def test_negative_order_is_refused(build):
+    with pytest.raises(ValueError) as info:
+        build(-1)
+    assert str(info.value) == "order must be >= 0, got -1"
 
 
 class TestCoefficient:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-import exactseries
+import exactseries.report
 from exactseries import identities
 from exactseries.report import IdentityReport
 
@@ -43,12 +43,26 @@ def test_commands_import_no_dataclasses_inspect_or_typing():
     assert done.stdout == "[0, 0, 0] []\n"
 
 
+def test_one_module_imports_only_itself():
+    # The package root imports nothing, so a module that needs no other
+    # loads only the root and itself.
+    code = ("import sys, exactseries.binomial\n"
+            "print(sorted(name for name in sys.modules\n"
+            "             if name.partition('.')[0] == 'exactseries'))")
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
+    assert done.stderr == ""
+    assert done.stdout == "['exactseries', 'exactseries.binomial']\n"
+
+
 def test_identity_report_is_still_a_frozen_dataclass():
-    # One lazy name: the package's.  identities imports the type only inside
-    # verify.
-    assert exactseries.IdentityReport is IdentityReport
+    # The type lives in report.py alone: identities imports it only inside
+    # verify, and the package root does not re-export it.
+    assert exactseries.report.IdentityReport is IdentityReport
     assert not hasattr(identities, "IdentityReport")
-    assert dataclasses.is_dataclass(exactseries.IdentityReport)
+    assert not hasattr(exactseries, "IdentityReport")
+    assert dataclasses.is_dataclass(exactseries.report.IdentityReport)
     (report,) = identities.verify("log_dual", ns=[3], cs=[0])
     flipped = dataclasses.replace(report, verdict=False)
     assert flipped == IdentityReport(
