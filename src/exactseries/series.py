@@ -224,7 +224,9 @@ def ps_div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     numerator; z^2/z is fine, 1/z is not.  A denominator that is zero to its
     order, or a numerator zero to an order below the denominator's
     valuation, raises ZeroToOrderError: the quotient's leading coefficient
-    lies beyond what the operands know.
+    lies beyond what the operands know.  A denominator c*z^v, a constant
+    once z^v is factored out, scales the numerator by 1/c; any other is
+    inverted and multiplied.
     """
     v = valuation(b)
     if v is None:
@@ -242,7 +244,11 @@ def ps_div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
             )
         a = PowerSeries(a.nums[v:], a.den)
         b = PowerSeries(b.nums[v:], b.den)
-    return ps_mul(a, ps_inverse(b))
+    if any(b.nums[1:]):
+        return ps_mul(a, ps_inverse(b))
+    # b is the constant b0/den to its order, which also bounds the quotient.
+    return PowerSeries([x * b.den for x in a.nums[: b.order + 1]],
+                       a.den * b.nums[0])
 
 
 def _int_nth_root(value: int, d: int) -> int | None:
@@ -310,7 +316,8 @@ def ps_pow(a: PowerSeries, exponent: Fraction | int) -> PowerSeries:
     is homogeneous in u, so u's denominator cancels), and c = (u/u0)^e is
     kept as integer numerators ``cs`` over one running denominator ``lcd``,
     so step k is one integer sum and one gcd.  Each reduced step c_k is kept
-    too, and all are scaled to the final ``lcd`` once, at the end.
+    too, as ``nums[k]/dens[k]``, and all are scaled to the final ``lcd``
+    once, at the end.
     """
     en, ed = Fraction(exponent).as_integer_ratio()
     if en == 0:
@@ -326,30 +333,37 @@ def ps_pow(a: PowerSeries, exponent: Fraction | int) -> PowerSeries:
                                 "not a nonnegative integer power")
     us = a.nums[s:]
     order = min(a.order, len(us) - 1 + shift)
-    p, q = en + ed, ed
     b0n, b0d = _rational_pow(us[0], a.den, en, ed)
-    terms = [(j, uj) for j, uj in enumerate(us) if j and uj]
+    # (u/u0)^e does not change when u is negated, so u is taken with
+    # u0 > 0: every step's denominator lcd*q*k*u0 is then positive.
+    sign = -1 if us[0] < 0 else 1
+    p, q = en + ed, ed
+    qu0 = q * us[0] * sign
+    terms = [(j, p * j, sign * uj) for j, uj in enumerate(us) if j and uj]
     # Step k reads cs[k - j] only for 1 <= j <= reach, so when lcd grows only
     # the last ``reach`` entries of cs still need rescaling.  A monomial u
     # has no terms, every c_k is 0, and no step runs.
     reach = terms[-1][0] if terms else 0
-    cs, lcd, steps = [1], 1, [(1, 1)]
+    cs, lcd, nums, dens = [1], 1, [1], [1]
     for k in range(1, order - shift + 1 if terms else 1):
         qk = q * k
-        acc = sum((p * j - qk) * uj * cs[k - j] for j, uj in terms if j <= k)
-        den = lcd * qk * us[0]
+        acc = 0
+        for j, pj, uj in terms:  # in order of j
+            if j > k:
+                break
+            acc += (pj - qk) * uj * cs[k - j]
+        den = lcd * k * qu0
         g = math.gcd(acc, den)
         num, den = acc // g, den // g
-        if den < 0:
-            num, den = -num, -den
-        steps.append((num, den))
+        nums.append(num)
+        dens.append(den)
         if lcd % den:
             scale = den // math.gcd(lcd, den)
             lcd *= scale
             lo = max(0, k + 1 - reach)
             cs[lo:] = [x * scale for x in cs[lo:]]
         cs.append(num * (lcd // den))
-    nums = [0] * min(shift, order + 1)
-    nums += [b0n * num * (lcd // den) for num, den in steps]
-    nums += [0] * (order + 1 - len(nums))
-    return PowerSeries(nums[: order + 1], b0d * lcd)
+    out = [0] * min(shift, order + 1)
+    out += [b0n * num * (lcd // den) for num, den in zip(nums, dens)]
+    out += [0] * (order + 1 - len(out))
+    return PowerSeries(out[: order + 1], b0d * lcd)

@@ -40,12 +40,13 @@ MUTANTS = [
      "mul"),
     ("src/exactseries/series.py", "prod = (prod - slot) >> bits",
      "prod >>= bits", "mul"),
-    # ps_pow: the last term left out of each step, and reach from the
-    # first term instead of the last.
-    ("src/exactseries/series.py", "for j, uj in terms if j <= k)",
-     "for j, uj in terms if j < k)", "pow"),
+    # ps_pow: the last term left out of each step, reach from the first
+    # term instead of the last, and u's terms left unnegated when u0 is
+    # made positive.
+    ("src/exactseries/series.py", "if j > k:", "if j >= k:", "pow"),
     ("src/exactseries/series.py", "reach = terms[-1][0] if terms else 0",
      "reach = terms[0][0] if terms else 0", "pow"),
+    ("src/exactseries/series.py", "sign * uj)", "uj)", "pow"),
     # log_rhs and log_lhs: each roll off by one.
     ("src/exactseries/identities.py", "row = row * (j + c + 1) // (j + 1)",
      "row = row * (j + c) // (j + 1)", "log"),
@@ -64,8 +65,13 @@ MUTANTS = [
     # harmonic: the 1/1 term dropped.
     ("src/exactseries/binomial.py", "for k in ks])", "for k in ks[1:]])",
      "log"),
-    # ps_div: the numerator cut one coefficient short of the valuation.
+    # ps_div: the numerator cut one coefficient short of the valuation;
+    # a constant divisor's scale without its denominator, and its quotient
+    # left at the numerator's order.
     ("src/exactseries/series.py", "a.nums[v:]", "a.nums[v - 1:]", "div"),
+    ("src/exactseries/series.py", "[x * b.den for x in",
+     "[x for x in", "div"),
+    ("src/exactseries/series.py", "a.nums[: b.order + 1]", "a.nums", "div"),
     # lang._apply: c - series computed as c + series.
     ("src/exactseries/lang.py", "ps_affine(b, -1, a)", "ps_affine(b, 1, a)",
      "scalar"),

@@ -257,6 +257,14 @@ class TestDivisionAndPowers:
         with pytest.raises(ZeroToOrderError):
             ps_inverse(constant(0, 4))
 
+    def test_div_by_constant_times_z_power_scales(self):
+        # (z + z^2)/(z/3) = 3 + 3z, known only to the divisor's order 1 - 1.
+        out = ps_div(series([0, 1, 1, 0]), series([0, Fraction(1, 3)]))
+        assert out == series([3])
+        # z^3/(-2z^2) = -z/2, known to the numerator's order 4 - 2.
+        out = ps_div(series([0, 0, 0, 1, 0]), series([0, 0, -2, 0, 0, 0, 0]))
+        assert out == series([0, Fraction(-1, 2), 0])
+
     def test_div_negative_powers_is_not_an_order_error(self):
         with pytest.raises(SeriesDomainError) as info:
             ps_div(series([0, 1, 0]), series([0, 0, 1]))
@@ -619,6 +627,45 @@ def test_huge_shifts_pad_at_most_order_plus_one_zeros():
     # Padding with [0] * shift would raise MemoryError here, not hang.
     assert ps_pow(series([0, 1, 0]), 10**15) == constant(0, 2)
     assert ps_monomial_shift(series([1, 2]), 10**15) == constant(0, 1)
+
+
+# ------------------------------------------------------- reference division
+# ps_div before a constant divisor became a scale: the operands shifted by
+# the divisor's valuation, then always a product with the divisor's inverse.
+
+def reference_ps_div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
+    v = valuation(b)
+    if v is None:
+        raise ZeroToOrderError("division by a series that is zero to its order")
+    if any(a.nums[:v]):
+        raise SeriesDomainError("division would produce negative powers of z")
+    if a.order < v:
+        raise ZeroToOrderError("numerator is zero to an order below v")
+    return ps_mul(PowerSeries(a.nums[v:], a.den),
+                  ps_inverse(PowerSeries(b.nums[v:], b.den)))
+
+
+@st.composite
+def monomial_divisions(draw):
+    """(a, b) with b = c*z^v to its order, c rational, often negative or not
+    an integer; a few divisors carry a tail past z^v, and most numerators
+    are multiples of z^v.  Both orders are drawn from 0..20 apart, so b's
+    lies below a's as often as above."""
+    v = draw(st.integers(0, 4))
+    tail = draw(st.one_of(st.just([]), st.lists(small_rationals, max_size=3)))
+    order = draw(st.integers(0, 20))
+    head = [0] * v + [draw(nonzero_rationals)] + tail
+    b = series((head + [0] * order)[: order + 1])
+    a = draw(mul_operands)
+    if draw(st.integers(0, 3)):
+        a = ps_monomial_shift(a, v)
+    return a, b
+
+
+@given(case=monomial_divisions())
+@settings(max_examples=300)
+def test_div_matches_inverse_product(case):
+    assert outcome(ps_div, *case) == outcome(reference_ps_div, *case)
 
 
 # ------------------------------------------------------------ the stored form
