@@ -296,9 +296,11 @@ def _rational_pow(num: int, den: int, en: int, ed: int) -> tuple[int, int]:
 
 
 def _power_text(num: int, den: int, en: int, ed: int) -> str:
+    # As lang.pretty writes it, a negative or non-integer part in parentheses;
     # format_rational, not str(): a base may be past the int-to-str limit.
-    base, exponent = Fraction(num, den), Fraction(en, ed)
-    return f"{format_rational(base)}^{format_rational(exponent)}"
+    return "^".join(format_rational(x) if x.denominator == 1 and x >= 0
+                    else f"({format_rational(x)})"
+                    for x in (Fraction(num, den), Fraction(en, ed)))
 
 
 def ps_pow(a: PowerSeries, exponent: Fraction | int) -> PowerSeries:
@@ -313,11 +315,11 @@ def ps_pow(a: PowerSeries, exponent: Fraction | int) -> PowerSeries:
 
     so the weights are integers and the cost is O(order^2) whatever the
     exponent.  The sum runs on u's integer numerators ``us`` (the recurrence
-    is homogeneous in u, so u's denominator cancels), and c = (u/u0)^e is
-    kept as integer numerators ``cs`` over one running denominator ``lcd``,
-    so step k is one integer sum and one gcd.  Each reduced step c_k is kept
-    too, as ``nums[k]/dens[k]``, and all are scaled to the final ``lcd``
-    once, at the end.
+    is homogeneous in u, so u's denominator cancels).  c = (u/u0)^e is kept
+    as integer numerators ``cs[k]`` over ``lcds[k]``, the running ``lcd``
+    when entry k was last rescaled: step k's sum cancels only against its
+    small factor k*q*u0, and what is left of that multiplies ``lcd``.  The
+    output is scaled to the last ``lcd``; PowerSeries reduces it once.
     """
     en, ed = Fraction(exponent).as_integer_ratio()
     if en == 0:
@@ -335,16 +337,16 @@ def ps_pow(a: PowerSeries, exponent: Fraction | int) -> PowerSeries:
     order = min(a.order, len(us) - 1 + shift)
     b0n, b0d = _rational_pow(us[0], a.den, en, ed)
     # (u/u0)^e does not change when u is negated, so u is taken with
-    # u0 > 0: every step's denominator lcd*q*k*u0 is then positive.
+    # u0 > 0: every step's factor k*q*u0 is then positive.
     sign = -1 if us[0] < 0 else 1
     p, q = en + ed, ed
     qu0 = q * us[0] * sign
     terms = [(j, p * j, sign * uj) for j, uj in enumerate(us) if j and uj]
     # Step k reads cs[k - j] only for 1 <= j <= reach, so when lcd grows only
-    # the last ``reach`` entries of cs still need rescaling.  A monomial u
-    # has no terms, every c_k is 0, and no step runs.
+    # the last ``reach`` entries of cs and lcds need rescaling.  A monomial
+    # u has no terms, every c_k is 0, and no step runs.
     reach = terms[-1][0] if terms else 0
-    cs, lcd, nums, dens = [1], 1, [1], [1]
+    cs, lcds, lcd = [1], [1], 1
     for k in range(1, order - shift + 1 if terms else 1):
         qk = q * k
         acc = 0
@@ -352,18 +354,15 @@ def ps_pow(a: PowerSeries, exponent: Fraction | int) -> PowerSeries:
             if j > k:
                 break
             acc += (pj - qk) * uj * cs[k - j]
-        den = lcd * k * qu0
-        g = math.gcd(acc, den)
-        num, den = acc // g, den // g
-        nums.append(num)
-        dens.append(den)
-        if lcd % den:
-            scale = den // math.gcd(lcd, den)
+        g = math.gcd(acc, k * qu0)
+        if (scale := k * qu0 // g) > 1:
             lcd *= scale
             lo = max(0, k + 1 - reach)
             cs[lo:] = [x * scale for x in cs[lo:]]
-        cs.append(num * (lcd // den))
+            lcds[lo:] = [lcd] * (k - lo)
+        cs.append(acc // g)
+        lcds.append(lcd)
     out = [0] * min(shift, order + 1)
-    out += [b0n * num * (lcd // den) for num, den in zip(nums, dens)]
+    out += [b0n * x * (lcd // d) for x, d in zip(cs, lcds)]
     out += [0] * (order + 1 - len(out))
     return PowerSeries(out[: order + 1], b0d * lcd)

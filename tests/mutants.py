@@ -8,12 +8,15 @@ Each mutant is (file, exact old text, new text, ``-k`` selection).  The old
 text must occur exactly once in its file, so a refactor that moves the code
 fails here instead of skipping the mutant.  The gate copies ``src/``,
 ``tests/`` and ``pyproject.toml`` to a temporary directory, with a
-conftest that stops Hypothesis at its first counterexample (no shrinking),
-and first runs each selection there unmutated, where it must pass.  Then
-it applies one mutant at a time and runs its selection with a timeout of
-four times that run, and at least ``MIN_TIMEOUT_S``: failing tests or the
-timeout (a mutant that loops) count as killed, and a mutant whose tests
-pass fails the gate.  pytest does not collect this file.
+conftest that stops Hypothesis at its first counterexample (no shrinking).
+There it lists each selection's node IDs once (``--co -k``) and runs
+exactly those tests, unmutated, where every one must pass; the mutant runs
+of the selection are given the same IDs, so pytest imports only the files
+that hold them.  Then it applies one mutant at a time and runs its
+selection with a timeout of four times the unmutated run, and at least
+``MIN_TIMEOUT_S``: failing tests or the timeout (a mutant that loops)
+count as killed, and a mutant whose tests pass fails the gate.  pytest
+does not collect this file.
 """
 
 import shutil
@@ -42,11 +45,15 @@ MUTANTS = [
      "prod >>= bits", "mul"),
     # ps_pow: the last term left out of each step, reach from the first
     # term instead of the last, and u's terms left unnegated when u0 is
-    # made positive.
+    # made positive; when lcd grows, the window's lcds left stale, and the
+    # window one entry short.
     ("src/exactseries/series.py", "if j > k:", "if j >= k:", "pow"),
     ("src/exactseries/series.py", "reach = terms[-1][0] if terms else 0",
      "reach = terms[0][0] if terms else 0", "pow"),
     ("src/exactseries/series.py", "sign * uj)", "uj)", "pow"),
+    ("src/exactseries/series.py", "lcds[lo:] = [lcd] * (k - lo)", "pass",
+     "pow"),
+    ("src/exactseries/series.py", "k + 1 - reach", "k + 2 - reach", "pow"),
     # log_rhs and log_lhs: each roll off by one.
     ("src/exactseries/identities.py", "row = row * (j + c + 1) // (j + 1)",
      "row = row * (j + c) // (j + 1)", "log"),
@@ -93,23 +100,44 @@ MUTANTS = [
 ]
 
 
-def run_tests(copy: Path, selection: str, timeout: float) -> str:
-    """Run the selected tests in the copy: 'passed', 'failed' or 'timeout'.
-    Any other pytest outcome (no test selected, a usage or collection
-    error) stops the gate."""
+def run_pytest(copy: Path, args: list[str], timeout: float | None):
     # -B: no bytecode is written, so a file edited twice within the
-    # timestamp resolution of a .pyc is never run from a stale one.
-    command = [sys.executable, "-B", "-m", "pytest", "-q", "-x",
-               "-p", "no:cacheprovider", "--hypothesis-seed=0",
-               "-k", selection, "tests"]
+    # timestamp resolution of a .pyc is never run from a stale one.  With
+    # no cached bytecode, pytest's assertion rewriting would redo every test
+    # module and plugin it imports, about 1.3 s a run; a failed assert still
+    # fails its test with --assert=plain, only its message is shorter.
+    command = [sys.executable, "-B", "-m", "pytest", "-q", "--assert=plain",
+               "-p", "no:cacheprovider", "--hypothesis-seed=0", *args]
+    return subprocess.run(command, cwd=copy, capture_output=True, text=True,
+                          timeout=timeout)
+
+
+def collect(copy: Path, selection: str) -> list[str]:
+    """The node IDs of the tests that ``-k selection`` selects."""
+    done = run_pytest(copy, ["--co", "-k", selection, "tests"], None)
+    ids = [line for line in done.stdout.splitlines() if "::" in line]
+    if done.returncode or not ids:
+        sys.exit(f"pytest --co -k {selection!r} exited {done.returncode}:\n"
+                 f"{done.stdout}{done.stderr}")
+    return ids
+
+
+def run_tests(copy: Path, ids: list[str], timeout: float | None) -> str:
+    """Run the tests in the copy: 'passed' when every one of them passed,
+    'failed' or 'timeout'.  Any other pytest outcome (a usage or collection
+    error) stops the gate."""
     try:
-        done = subprocess.run(command, cwd=copy, capture_output=True,
-                              text=True, timeout=timeout)
+        done = run_pytest(copy, ["-x", *ids], timeout)
     except subprocess.TimeoutExpired:
         return "timeout"
-    if done.returncode in (0, 1):
-        return "failed" if done.returncode else "passed"
-    sys.exit(f"pytest -k {selection!r} exited {done.returncode}:\n"
+    if done.returncode == 0:
+        summary = done.stdout.splitlines()[-1]
+        if not summary.startswith(f"{len(ids)} passed"):
+            sys.exit(f"{len(ids)} tests listed, but pytest ran: {summary}")
+        return "passed"
+    if done.returncode == 1:
+        return "failed"
+    sys.exit(f"pytest exited {done.returncode} on {len(ids)} tests:\n"
              f"{done.stdout}{done.stderr}")
 
 
@@ -128,17 +156,18 @@ def main() -> int:
             shutil.copytree(ROOT / name, copy / name, ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", copy)
         (copy / "conftest.py").write_text(CONFTEST)
-        timeouts = {}
+        ids, timeouts = {}, {}
         for selection in dict.fromkeys(m[3] for m in MUTANTS):
+            ids[selection] = collect(copy, selection)
             start = time.perf_counter()
-            if run_tests(copy, selection, None) != "passed":
+            if run_tests(copy, ids[selection], None) != "passed":
                 sys.exit(f"the unmutated tests -k {selection!r} fail")
             timeouts[selection] = max(MIN_TIMEOUT_S,
                                       4 * (time.perf_counter() - start))
         for file, old, new, selection in MUTANTS:
             (copy / file).write_text(originals[file].replace(old, new))
             start = time.perf_counter()
-            outcome = run_tests(copy, selection, timeouts[selection])
+            outcome = run_tests(copy, ids[selection], timeouts[selection])
             (copy / file).write_text(originals[file])
             killed = outcome != "passed"
             survivors += not killed

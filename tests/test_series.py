@@ -327,6 +327,15 @@ class TestFractionPow:
         with pytest.raises(SeriesDomainError, match="not rational"):
             _rational_pow(big, 1, 1, 2)
 
+    def test_messages_write_the_power_unambiguously(self):
+        # 2^1/2 would read as (2^1)/2 = 1, a rational number.
+        for args, text in [((2, 1, 1, 2), "2^(1/2) is not rational"),
+                           ((-1, 4, -3, 2), "(-1/4)^(-3/2) is not rational"),
+                           ((1, 3, 100000, 1), "(1/3)^100000 has about")]:
+            with pytest.raises(SeriesDomainError) as raised:
+                _rational_pow(*args)
+            assert str(raised.value).startswith(text)
+
     def test_power_at_bit_limit_and_powers_of_one(self):
         assert _rational_pow(2, 1, MAX_POWER_BITS, 1) == (2**MAX_POWER_BITS, 1)
         assert _rational_pow(-1, 1, 10**12 + 1, 1) == (-1, 1)
@@ -629,6 +638,90 @@ def test_huge_shifts_pad_at_most_order_plus_one_zeros():
     assert ps_monomial_shift(series([1, 2]), 10**15) == constant(0, 1)
 
 
+# ------------------------------------------ reference reduced-pair power loop
+# The integer Miller loop that ps_pow ran before its one-list step: each c_k
+# reduced by a full gcd, kept as a numerator and a denominator in two lists,
+# and the running denominator raised to their lcm.  Unlike the Fraction
+# loops above it is fast enough to judge the kernel above order 40.
+
+def reference_reduced_pair_pow(a: PowerSeries, exponent) -> PowerSeries:
+    en, ed = Fraction(exponent).as_integer_ratio()
+    if en == 0:
+        return constant(1, a.order)
+    s = valuation(a)
+    if s is None:
+        if ed == 1 and en > 0:
+            return constant(0, a.order)
+        raise ZeroToOrderError("zero series cannot be raised to this power")
+    shift, rest = divmod(en * s, ed)
+    if rest or shift < 0:
+        raise SeriesDomainError(f"power produces z^({Fraction(en * s, ed)}), "
+                                "not a nonnegative integer power")
+    us = a.nums[s:]
+    order = min(a.order, len(us) - 1 + shift)
+    b0n, b0d = _rational_pow(us[0], a.den, en, ed)
+    sign = -1 if us[0] < 0 else 1
+    p, q = en + ed, ed
+    qu0 = q * us[0] * sign
+    terms = [(j, p * j, sign * uj) for j, uj in enumerate(us) if j and uj]
+    reach = terms[-1][0] if terms else 0
+    cs, lcd, nums, dens = [1], 1, [1], [1]
+    for k in range(1, order - shift + 1 if terms else 1):
+        qk = q * k
+        acc = 0
+        for j, pj, uj in terms:
+            if j > k:
+                break
+            acc += (pj - qk) * uj * cs[k - j]
+        den = lcd * k * qu0
+        g = math.gcd(acc, den)
+        num, den = acc // g, den // g
+        nums.append(num)
+        dens.append(den)
+        if lcd % den:
+            scale = den // math.gcd(lcd, den)
+            lcd *= scale
+            lo = max(0, k + 1 - reach)
+            cs[lo:] = [x * scale for x in cs[lo:]]
+        cs.append(num * (lcd // den))
+    out = [0] * min(shift, order + 1)
+    out += [b0n * num * (lcd // den) for num, den in zip(nums, dens)]
+    out += [0] * (order + 1 - len(out))
+    return PowerSeries(out[: order + 1], b0d * lcd)
+
+
+@given(case=miller_cases(wide_rationals))
+@settings(max_examples=80, deadline=None)
+def test_pow_matches_reduced_pair_loop(case):
+    assert (outcome(ps_pow, *case)
+            == outcome(reference_reduced_pair_pow, *case))
+
+
+def padded(low: list, order: int) -> PowerSeries:
+    """The polynomial with coefficients ``low``, to the given order."""
+    return series((low + [0] * order)[: order + 1])
+
+
+@pytest.mark.parametrize("a, e", [
+    (padded([1, -1], 1024), Fraction(1, 2)),
+    (padded([1, 1], 600), Fraction(-5, 3)),
+    (padded([1, -1], 200), Fraction(-10**6, 999_999)),
+    (padded([8, 2, 0, -1], 300), Fraction(2, 3)),
+    (log_geometric(150), Fraction(3)),
+    (padded([2, -1, 3], 400), Fraction(21)),
+], ids=["sqrt(1-z)@1024", "(1+z)^(-5/3)@600", "(1-z)^(-10^6/999999)@200",
+        "(8+2z-z^3)^(2/3)@300", "log^3@150", "(2-z+3z^2)^21@400"])
+def test_pow_at_large_orders_matches_reduced_pair_loop(a, e):
+    assert ps_pow(a, e) == reference_reduced_pair_pow(a, e)
+
+
+def test_sqrt_one_minus_z_matches_central_binomial():
+    # [z^n](1-z)^(1/2) = -C(2n, n) / (4^n * (2n - 1)).
+    n = 1024
+    expected = Fraction(-math.comb(2 * n, n), 4**n * (2 * n - 1))
+    assert coefficient(ps_pow(padded([1, -1], n), Fraction(1, 2)), n) == expected
+
+
 # ------------------------------------------------------- reference division
 # ps_div before a constant divisor became a scale: the operands shifted by
 # the divisor's valuation, then always a product with the divisor's inverse.
@@ -847,18 +940,26 @@ def test_series_leaves_allocated_blocks_flat():
 # oracle for that arithmetic, its errors and their messages.  Only the
 # integer root is shared with the kernel.
 
+def power_text(base: Fraction, exponent: Fraction) -> str:
+    """A power as an expression prints it, as 2^(1/2), (-1/4)^(-3/2) or
+    (1/3)^100000: a part that is negative or not an integer is in
+    parentheses, so that the text does not read as another number."""
+    return "^".join(str(x) if x.denominator == 1 and x >= 0 else f"({x})"
+                    for x in (base, exponent))
+
+
 def reference_fraction_pow(base: Fraction, exponent: Fraction) -> Fraction:
     height = max(abs(base.numerator), base.denominator)
     bits = abs(exponent) * (height.bit_length() - 1)
     if bits > MAX_POWER_BITS:
-        raise SeriesDomainError(f"{base}^{exponent} has about {int(bits)} bits, "
-                                f"over the limit of {MAX_POWER_BITS}")
+        raise SeriesDomainError(
+            f"{power_text(base, exponent)} has about {int(bits)} bits, "
+            f"over the limit of {MAX_POWER_BITS}")
     num = _int_nth_root(base.numerator, exponent.denominator)
     den = _int_nth_root(base.denominator, exponent.denominator)
     if num is None or den is None:
-        raise SeriesDomainError(
-            f"{base}^{exponent} is not rational; only exact powers are supported"
-        )
+        raise SeriesDomainError(f"{power_text(base, exponent)} is not "
+                                "rational; only exact powers are supported")
     return Fraction(num, den) ** exponent.numerator
 
 
