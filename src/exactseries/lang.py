@@ -30,7 +30,6 @@ from .series import (
     identity_z,
     log_geometric,
     ps_add,
-    ps_affine,
     ps_div,
     ps_mul,
     ps_pow,
@@ -247,11 +246,10 @@ def evaluate(expr, order: int) -> PowerSeries:
     """Expand an expression into a truncated series of the given order."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    value = _fold(expr, order)
-    return constant(value, order) if isinstance(value, Fraction) else value
+    return _fold(expr, order)
 
 
-def _fold(expr, order: int) -> PowerSeries | Fraction:
+def _fold(expr, order: int) -> PowerSeries:
     """expr's value at order, built bottom up: _leaf for each atom, and
     _apply for each binary node from its operands' values.  Binary nodes
     are walked down their left operands and applied on the way back up, so
@@ -264,15 +262,15 @@ def _fold(expr, order: int) -> PowerSeries | Fraction:
     for node in reversed(spine):
         # The right of ^ is its Fraction exponent, not a subtree.
         right = node[2] if node[0] == "^" else _fold(node[2], order)
-        value = _apply(node, value, right, order)
+        value = _apply(node, value, right)
     return value
 
 
-def _leaf(expr, order: int) -> PowerSeries | Fraction:
-    """The series of an atom, or its Fraction value when it has no z."""
+def _leaf(expr, order: int) -> PowerSeries:
+    """The series of an atom; a literal is a constant series."""
     match expr:
         case ("lit", value):
-            return value
+            return constant(value, order)
         case ("z",):
             return identity_z(order)
         case ("log",):
@@ -280,38 +278,9 @@ def _leaf(expr, order: int) -> PowerSeries | Fraction:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def _apply(node, a, b, order: int) -> PowerSeries | Fraction:
-    """node's operator on operand values a and b.  + - * of two Fractions
-    is a Fraction; one Fraction operand scales or shifts the series, as does
-    a nonzero Fraction divisor.  ^, / by zero and / of two Fractions take
-    the series operator on constant series, so they raise and retry."""
-    op = node[0]
-    match op, a, b:
-        case "+", Fraction(), Fraction():
-            return a + b
-        case "-", Fraction(), Fraction():
-            return a - b
-        case "*", Fraction(), Fraction():
-            return a * b
-        case "+", Fraction(), _:
-            return ps_affine(b, 1, a)
-        case "-", Fraction(), _:
-            return ps_affine(b, -1, a)
-        case "*", Fraction(), _:
-            return ps_affine(b, a, 0)
-        case "+", _, Fraction():
-            return ps_affine(a, 1, b)
-        case "-", _, Fraction():
-            return ps_affine(a, 1, -b)
-        case "*", _, Fraction():
-            return ps_affine(a, b, 0)
-        case "/", PowerSeries(), Fraction() if b:
-            return ps_affine(a, 1 / b, 0)
-    if isinstance(a, Fraction):
-        a = constant(a, order)
-    if op != "^" and isinstance(b, Fraction):
-        b = constant(b, order)
+def _apply(node, a, b) -> PowerSeries:
+    """node's series operator on operand values a and b."""
     try:
-        return globals()[_OPS[op]](a, b)
+        return globals()[_OPS[node[0]]](a, b)
     except SeriesDomainError as exc:
         raise EvalError(f"in {pretty(node)}: {exc}") from exc

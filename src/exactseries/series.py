@@ -110,25 +110,21 @@ def ps_sub(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     return ps_add(a, PowerSeries([-y for y in b.nums], b.den))
 
 
-def ps_affine(a: PowerSeries, m: Fraction | int, c: Fraction | int) -> PowerSeries:
-    """m*a + c for rationals m and c: every coefficient scaled by m, and c
-    added to the z^0 coefficient.  The order is a's."""
-    mden = a.den * m.denominator
-    den = math.lcm(mden, c.denominator)
-    factor = m.numerator * (den // mden)
-    nums = [x * factor for x in a.nums]
-    nums[0] += c.numerator * (den // c.denominator)
-    return PowerSeries(nums, den)
-
-
 def ps_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     """Cauchy product truncated at the smaller order.
 
     Kronecker substitution (D. Harvey, J. Symbolic Comput. 44, 2009): each
     operand's numerators are packed into one integer at ``bits`` bits per
     coefficient, so a single big-integer multiplication yields every
-    numerator of the product, over a.den * b.den, in its own slot.
+    numerator of the product, over a.den * b.den, in its own slot.  A
+    constant operand instead scales the other's numerators.
     """
+    if not any(a.nums[1:]):
+        a, b = b, a
+    if not any(b.nums[1:]):
+        # b is the constant b0/den to its order, which also bounds the product.
+        return PowerSeries([x * b.nums[0] for x in a.nums[: b.order + 1]],
+                           a.den * b.den)
     n = min(a.order, b.order)
     xs, ys = a.nums[: n + 1], b.nums[: n + 1]
     # Every product slot is a sum of at most n + 1 terms x_i * y_j, so it

@@ -43,6 +43,13 @@ MUTANTS = [
      "mul"),
     ("src/exactseries/series.py", "prod = (prod - slot) >> bits",
      "prod >>= bits", "mul"),
+    # ps_mul: a constant factor's scale dropped, and its product left at
+    # the other operand's order.
+    ("src/exactseries/series.py", "[x * b.nums[0] for x in", "[x for x in",
+     "mul"),
+    ("src/exactseries/series.py",
+     "b.nums[0] for x in a.nums[: b.order + 1]]",
+     "b.nums[0] for x in a.nums]", "mul"),
     # ps_pow: the last term left out of each step, reach from the first
     # term instead of the last, and u's terms left unnegated when u0 is
     # made positive; when lcd grows, the window's lcds left stale, and the
@@ -78,18 +85,12 @@ MUTANTS = [
     ("src/exactseries/series.py", "a.nums[v:]", "a.nums[v - 1:]", "div"),
     ("src/exactseries/series.py", "[x * b.den for x in",
      "[x for x in", "div"),
-    ("src/exactseries/series.py", "a.nums[: b.order + 1]", "a.nums", "div"),
-    # lang._apply: c - series computed as c + series.
-    ("src/exactseries/lang.py", "ps_affine(b, -1, a)", "ps_affine(b, 1, a)",
-     "scalar"),
+    ("src/exactseries/series.py", "b.den for x in a.nums[: b.order + 1]]",
+     "b.den for x in a.nums]", "div"),
     # _rational_pow: a negative exponent left unswapped.
     ("src/exactseries/series.py",
      "num, den, en = (-den, -num, -en) if num < 0 else (den, num, -en)",
      "pass", "pow"),
-    # ps_affine: the shift c added over den without scaling.
-    ("src/exactseries/series.py",
-     "nums[0] += c.numerator * (den // c.denominator)",
-     "nums[0] += c.numerator", "scalar"),
     # log_geometric: the negative-order guard removed.
     ("src/exactseries/series.py",
      '"""-log(1-z) = z + z^2/2 + z^3/3 + ... to the given order."""\n'

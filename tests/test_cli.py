@@ -150,9 +150,9 @@ REFERENCE_OPS = {"+": ps_add, "-": ps_sub, "*": ps_mul, "/": ps_div,
 
 
 def reference_evaluate(expr, order: int):
-    """``lang.evaluate`` as it was before z-free subtrees became Fractions:
-    every literal a constant series and every node its series operator,
-    kept as the oracle for the scalar shortcuts."""
+    """``lang.evaluate`` as plain recursion: every literal a constant series
+    and every node its series operator, kept as the oracle for the
+    evaluator's walk down left operands on z-free subtrees."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     match expr:

@@ -26,7 +26,6 @@ from exactseries.series import (
     lemma_coefficient,
     log_geometric,
     ps_add,
-    ps_affine,
     ps_div,
     ps_inverse,
     ps_monomial_shift,
@@ -375,8 +374,10 @@ def reference_ps_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
 
 
 # Mixed-sign rationals; denominators up to 10^9, whose lcm is large; the zero
-# series; and constant series +-M, whose top product slot is exactly the
-# signed bound the kernel sizes its slots for.  Orders 0..20, independently.
+# series; constant series, which ps_mul scales by instead of packing; and
+# all-M series M + M*z + ... with |M| <= 2^80, whose top product slot is
+# exactly the signed bound the kernel sizes its slots for.  Orders 0..20,
+# independently.
 mul_operands = st.one_of(
     st.lists(
         st.one_of(small_rationals,
@@ -385,6 +386,7 @@ mul_operands = st.one_of(
         min_size=1, max_size=21,
     ).map(series),
     st.integers(0, 20).map(lambda order: constant(0, order)),
+    st.builds(constant, small_rationals, st.integers(0, 20)),
     st.builds(lambda m, order: series([m] * (order + 1)),
               st.integers(-2**80, 2**80), st.integers(0, 20)),
 )
@@ -1028,18 +1030,3 @@ def test_pow_of_monomial_pads_with_zeros():
         series([0, 0, 0, 8, 0, 0])
     assert ps_pow(series([0, 0, 4, 0]), Fraction(5, 2)) == constant(0, 3)
     assert ps_pow(series([0, 0, 4, 0]), 2) == constant(0, 3)
-
-
-# ----------------------------------------------------- scaling and shifting
-
-@given(a=random_series, m=small_rationals, c=small_rationals)
-def test_affine_matches_constant_series_ops(a, m, c):
-    out = ps_affine(a, m, c)
-    assert_reduced(out)
-    assert out == ps_add(ps_mul(constant(m, a.order), a), constant(c, a.order))
-
-
-def test_affine_takes_integer_factors():
-    a = series([Fraction(1, 2), 3, Fraction(-5, 6)])
-    assert ps_affine(a, -1, 1) == series([Fraction(1, 2), -3, Fraction(5, 6)])
-    assert ps_affine(a, 0, Fraction(2, 3)) == constant(Fraction(2, 3), 2)
